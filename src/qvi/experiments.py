@@ -114,6 +114,8 @@ class TableSpec:
             raise ValueError("initial_points must be nonempty")
         if len(self.tolerances) == 0:
             raise ValueError("tolerances must be nonempty")
+        if not all(tol > 0 for tol in self.tolerances):
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
@@ -134,35 +136,49 @@ def _snap_limit(f: Mapping, final):
 
 
 def run_example_table(spec, keep_traces=False):
-    """One solve per (initial point x tolerance).
+    """One solve per initial point, at the tightest tolerance.
 
     The tolerance bounds the step norm ||u_{n+1} - u_n||, matching the
     reported iteration counts; the squared-step stopping rule therefore
-    receives tol**2. Returns TableRow records; with keep_traces the
-    (row, SolveResult) pairs are returned instead.
+    receives tol**2. The stopping rule does not steer the iteration, so a
+    run at a looser tolerance is a prefix of the run at the tightest one:
+    each row stops at the first step whose trace error drops below tol**2,
+    or takes the solve's own count and status when no step does. Rows are
+    start-major with the tolerances in the given order. cpu_seconds is the
+    solve's time scaled by row.iterations / result.iterations, the time to
+    the row's stop at the solve's mean cost per iteration. Returns TableRow
+    records; with keep_traces the (row, SolveResult) pairs are returned
+    instead, and the rows of one start share one SolveResult.
     """
     f, feasible = PROBLEMS[spec.problem]()
+    tightest = min(spec.tolerances)
+    cfg = SolverConfig(
+        lambda1=spec.lambda1,
+        mu=spec.mu,
+        xi_params=spec.xi_params,
+        stop=SquaredStep(tightest * tightest),
+        max_iters=spec.max_iters,
+        trace_level="full",
+    )
     out = []
     for u1 in spec.initial_points:
+        t0 = time.perf_counter()
+        result = solve(f, feasible, u1, cfg)
+        cpu = time.perf_counter() - t0
+        trace = result.trace
         for tol in spec.tolerances:
-            cfg = SolverConfig(
-                lambda1=spec.lambda1,
-                mu=spec.mu,
-                xi_params=spec.xi_params,
-                stop=SquaredStep(tol * tol),
-                max_iters=spec.max_iters,
-                trace_level="full",
-            )
-            t0 = time.perf_counter()
-            result = solve(f, feasible, u1, cfg)
-            cpu = time.perf_counter() - t0
+            crossed = np.flatnonzero(trace.errors < tol * tol)
+            if crossed.size:
+                iterations, status = int(crossed[0]) + 1, "converged"
+            else:
+                iterations, status = result.iterations, result.status
             row = TableRow(
                 u1=float(u1),
                 tol=float(tol),
-                iterations=result.iterations,
-                cpu_seconds=cpu,
-                limit=_snap_limit(f, result.final_point),
-                status=result.status,
+                iterations=iterations,
+                cpu_seconds=cpu * iterations / result.iterations,
+                limit=_snap_limit(f, trace.u[iterations]),
+                status=status,
             )
             out.append((row, result) if keep_traces else row)
     return out

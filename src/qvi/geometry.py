@@ -86,6 +86,13 @@ class ProjectionContext:
                 raise ValueError("tau must equal sign(anchor) componentwise")
 
 
+def _box_vector(box, x):
+    x = _as_vector(x)
+    if x.shape != box.lo.shape:
+        raise ValueError(f"dimension mismatch: x {x.shape}, box dim {box.dim}")
+    return x
+
+
 def project_box(x, lo, hi):
     """Clamp x into [lo, hi] componentwise (the metric projection)."""
     x = _as_vector(x)
@@ -122,7 +129,9 @@ def project(feasible_set, x, ctx=None):
     the halfspace is built at; a Box ignores ctx.
     """
     if isinstance(feasible_set, Box):
-        return project_box(x, feasible_set.lo, feasible_set.hi)
+        # the bounds were validated when the Box was built
+        x = _box_vector(feasible_set, x)
+        return kernels.box_project(x, feasible_set.lo, feasible_set.hi)
     if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
         if ctx is None:
             raise ValueError("relaxed l1 projection requires a ProjectionContext")
@@ -134,7 +143,5 @@ def box_membership(box, x, tol=0.0):
     """True iff lo[i] - tol <= x[i] <= hi[i] + tol for all i."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    x = _as_vector(x)
-    if x.shape != box.lo.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, box dim {box.dim}")
+    x = _box_vector(box, x)
     return bool(np.all(x >= box.lo - tol) and np.all(x <= box.hi + tol))

@@ -8,6 +8,7 @@ backend, or call :func:`use_backend` at runtime. Both backends compute the
 same quantities and are held to agreement in the test suite.
 """
 
+import math
 import os
 
 import numpy as np
@@ -44,10 +45,13 @@ def _least_squares_grad_np(mat, mat_t, rhs, x):
 
 
 def _correction_and_norms_np(u, z, fu, fz, lam):
-    u_next = z + lam * (fu - fz)
-    res = float(np.linalg.norm(u - z))
-    df = float(np.linalg.norm(fu - fz))
-    err_sq = float(np.sum((u_next - u) ** 2))
+    # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
+    dfv = fu - fz
+    duz = u - z
+    u_next = z + lam * dfv
+    res = math.sqrt(duz.dot(duz))
+    df = math.sqrt(dfv.dot(dfv))
+    err_sq = float(((u_next - u) ** 2).sum())
     return u_next, res, df, err_sq
 
 

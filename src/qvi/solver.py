@@ -14,6 +14,7 @@ perturbations xi_n = a / (n+1)^p are summable (p > 1), so the step sequence
 converges while being allowed to grow between iterations.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -170,7 +171,7 @@ def update_stepsize(lam, xi_n, u, z, fu, fz, mu):
 
 
 def _check_finite(values, n, what):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericError(f"non-finite {what} at iteration {n}", iteration=n)
 
 
@@ -186,9 +187,13 @@ def _step(u, lam, f, feasible_set, n, cfg):
     _check_finite(fu, n, "operator value F(u_n)")
     z = _project_step(feasible_set, u, u - lam * fu)
     fz = np.asarray(f(z), dtype=np.float64)
-    _check_finite(fz, n, "operator value F(z_n)")
     u_next, res, df, err_sq = kernels.correction_and_norms(u, z, fu, fz, lam)
-    _check_finite(u_next, n, "iterate u_{n+1}")
+    # with F(u_n) finite, a non-finite entry of F(z_n) makes df non-finite
+    # and one of u_{n+1} makes err_sq non-finite; the array checks then
+    # name which value failed
+    if not (math.isfinite(df) and math.isfinite(err_sq)):
+        _check_finite(fz, n, "operator value F(z_n)")
+        _check_finite(u_next, n, "iterate u_{n+1}")
     xi_n = cfg.xi_params.value(n)
     lam_next = lam + xi_n if df == 0.0 else min(cfg.mu * res / df, lam + xi_n)
     return u_next, z, lam_next, fz, res, df, err_sq

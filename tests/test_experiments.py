@@ -6,14 +6,16 @@ import pytest
 from qvi import (
     SolverConfig,
     MseToReference,
+    SquaredStep,
     TableSpec,
     XiSequence,
     gen_recovery,
     mse,
     run_example_table,
     run_recovery,
+    solve,
 )
-from qvi.experiments import random_initial_points
+from qvi.experiments import PROBLEMS, _snap_limit, random_initial_points
 
 
 # --- instance generation ---------------------------------------------------
@@ -110,6 +112,84 @@ def test_table_spec_validation():
         TableSpec(problem="cubic", initial_points=())
     with pytest.raises(ValueError):
         TableSpec(problem="cubic", initial_points=(1.0,), tolerances=())
+    # min() over a tuple holding NaN depends on order, so NaN is rejected
+    # with the other non-positive tolerances, wherever it sits
+    for bad in (0.0, -1e-6, np.nan):
+        for tolerances in ((bad,), (1e-6, bad), (bad, 1e-8)):
+            with pytest.raises(ValueError, match="tolerances must be positive"):
+                TableSpec(problem="cubic", initial_points=(1.0,), tolerances=tolerances)
+
+
+def _standalone(spec, u1, tol):
+    """One solve at one tolerance, the reference a table row must match."""
+    f, feasible = PROBLEMS[spec.problem]()
+    cfg = SolverConfig(
+        lambda1=spec.lambda1,
+        mu=spec.mu,
+        xi_params=spec.xi_params,
+        stop=SquaredStep(tol * tol),
+        max_iters=spec.max_iters,
+        trace_level="full",
+    )
+    return f, solve(f, feasible, u1, cfg)
+
+
+def _assert_rows_match_standalone(spec):
+    rows = run_example_table(spec)
+    expected = [(u1, tol) for u1 in spec.initial_points for tol in spec.tolerances]
+    assert [(r.u1, r.tol) for r in rows] == expected
+    for row in rows:
+        f, result = _standalone(spec, row.u1, row.tol)
+        where = (spec.problem, row.u1, row.tol)
+        assert row.iterations == result.iterations, where
+        assert row.status == result.status, where
+        assert row.limit == _snap_limit(f, result.final_point), where
+    return rows
+
+
+TABLE_STARTS = (
+    ("cubic", 0.3, (0.6, 0.9, 2.0, 3.0, -3.0)),
+    ("sine", 0.5, (2.0, 0.1, -0.5, 4.0, -2.0)),
+)
+
+
+@pytest.mark.parametrize(
+    "tolerances, seeds", [((1e-6, 1e-8), (0, 7, 25)), ((1e-8, 1e-6, 1e-8), (1,))]
+)
+def test_table_rows_equal_standalone_solves(tolerances, seeds):
+    for problem, mu, points in TABLE_STARTS:
+        spec = TableSpec(problem, points, mu=mu, tolerances=tolerances)
+        _assert_rows_match_standalone(spec)
+    for seed in seeds:
+        points = random_initial_points(40, seed)
+        for problem, mu, starts in (("cubic", 0.3, points[:30]), ("sine", 0.5, points[30:])):
+            spec = TableSpec(problem, starts, mu=mu, tolerances=tolerances)
+            _assert_rows_match_standalone(spec)
+
+
+def test_table_rows_budget_cut():
+    # the budget stops the tight run, but the loose row crossed before it
+    spec = TableSpec("cubic", (0.6,), tolerances=(1e-8, 1e-6), max_iters=60)
+    tight, loose = _assert_rows_match_standalone(spec)
+    assert (tight.iterations, tight.status) == (60, "max_iters")
+    assert (loose.iterations, loose.status) == (54, "converged")
+    assert loose.cpu_seconds <= tight.cpu_seconds
+
+
+def test_table_keep_traces_share_one_solve():
+    spec = TableSpec("sine", (2.0, 4.0), mu=0.5, tolerances=(1e-6, 1e-8, 1e-7))
+    pairs = run_example_table(spec, keep_traces=True)
+    for start in range(2):
+        group = pairs[3 * start : 3 * start + 3]
+        result = group[0][1]
+        assert all(r is result for _, r in group)
+        _, reference = _standalone(spec, group[0][0].u1, 1e-8)
+        assert (result.iterations, result.status) == (reference.iterations, reference.status)
+        for name in ("u", "z", "lam", "errors", "residuals", "operator_diffs"):
+            np.testing.assert_array_equal(
+                getattr(result.trace, name), getattr(reference.trace, name)
+            )
+    assert pairs[0][1] is not pairs[3][1]
 
 
 def test_random_initial_points_deterministic():

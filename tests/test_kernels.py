@@ -86,7 +86,11 @@ def test_use_backend_rebinds_and_rejects():
 
 
 def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, QVI_PURE_NUMPY="1")
+    # the child imports the qvi this process imported, also when pytest's
+    # pythonpath setting, not the environment, put it on sys.path
+    src = os.path.dirname(os.path.dirname(kernels.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, QVI_PURE_NUMPY="1", PYTHONPATH=path)
     out = subprocess.run(
         [sys.executable, "-c", "from qvi import kernels; print(kernels.ACTIVE_BACKEND)"],
         capture_output=True,

@@ -8,6 +8,7 @@ from qvi import (
     Box,
     CubicQuasi,
     ExactTermination,
+    HalfSpaceRelaxedL1Ball,
     MseToReference,
     NumericError,
     SinePlusOne,
@@ -217,6 +218,73 @@ def test_non_finite_inputs_raise():
     with pytest.raises(NumericError) as err:
         solve(Exploding(), Box(-np.inf, np.inf), 100.0, cfg)
     assert err.value.iteration == 1
+
+
+class _Scripted:
+    """F(x) = 2x - 1, except that listed evaluations put a value into entry 0.
+
+    Evaluations are numbered from 1; iteration n evaluates F(u_n) as call
+    2n - 1 and F(z_n) as call 2n.
+    """
+
+    def __init__(self, bad):
+        self.bad = bad
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        out = 2.0 * np.asarray(x, dtype=np.float64) - 1.0
+        if self.calls in self.bad:
+            out[0] = self.bad[self.calls]
+        return out
+
+
+GUARD_SETS = {
+    "box": Box(np.full(2, -np.inf), np.full(2, np.inf)),
+    # the relaxed projection raises RuntimeError on NaN input at a zero
+    # anchor, so the F(u_n) check must run before it
+    "relaxed_l1": HalfSpaceRelaxedL1Ball(1.0),
+}
+
+
+@pytest.mark.parametrize("where", sorted(GUARD_SETS))
+@pytest.mark.parametrize(
+    "call, value, what, iteration",
+    [
+        (1, np.nan, "operator value F(u_n)", 1),
+        (3, np.inf, "operator value F(u_n)", 2),
+        (2, np.nan, "operator value F(z_n)", 1),
+        (4, -np.inf, "operator value F(z_n)", 2),
+    ],
+)
+def test_non_finite_operator_values_name_the_failure(where, call, value, what, iteration):
+    cfg = scalar_config(mu=0.3, col_tol=1e-6)
+    with pytest.raises(NumericError) as err:
+        solve(_Scripted({call: value}), GUARD_SETS[where], np.zeros(2), cfg)
+    assert str(err.value) == f"non-finite {what} at iteration {iteration}"
+    assert err.value.iteration == iteration
+
+
+@pytest.mark.parametrize("where", sorted(GUARD_SETS))
+def test_overflowing_iterate_is_named(where):
+    # F(u_1) and F(z_1) stay finite, lam_1 (F(u_1) - F(z_1)) overflows
+    cfg = SolverConfig(lambda1=1e300, stop=SquaredStep(1e-12), max_iters=5)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError) as err:
+            solve(_Scripted({}), GUARD_SETS[where], np.zeros(2), cfg)
+    assert str(err.value) == "non-finite iterate u_{n+1} at iteration 1"
+    assert err.value.iteration == 1
+
+
+def test_overflowing_step_norm_with_finite_iterates_runs_on():
+    # a constant F moves every iterate by lam F; the squared step overflows
+    # while every array stays finite, which is no numeric failure
+    cfg = SolverConfig(lambda1=1e200, stop=SquaredStep(1e-12), max_iters=3)
+    with np.errstate(over="ignore"):
+        result = solve(lambda x: np.full(2, -1.0), GUARD_SETS["box"], np.zeros(2), cfg)
+    assert result.status == "max_iters"
+    assert np.all(np.isfinite(result.trace.u))
+    assert np.all(result.trace.errors == np.inf)
 
 
 # --- trace invariants ----------------------------------------------------

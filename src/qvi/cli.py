@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -156,17 +157,17 @@ def _load_config_file(path):
 
 
 def _validate(cfg):
-    if not cfg.lambda1 > 0:
-        raise ValueError("lambda1 must be positive")
+    if not 0 < cfg.lambda1 < math.inf:
+        raise ValueError("lambda1 must be positive and finite")
     if not 0.0 < cfg.mu < 1.0:
         raise ValueError("mu must lie in (0, 1)")
-    if cfg.xi_scale < 0:
-        raise ValueError("xi-scale must be nonnegative")
+    if not 0 <= cfg.xi_scale < math.inf:
+        raise ValueError("xi-scale must be nonnegative and finite")
     if not cfg.xi_exp > 1:
         raise ValueError("xi-exp must exceed 1")
     for t in cfg.tol:
-        if not t > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < t < math.inf:
+            raise ValueError("tol must be positive and finite")
     if cfg.max_iters < 1:
         raise ValueError("max-iters must be positive")
     if cfg.k < 0 or cfg.k > cfg.n:

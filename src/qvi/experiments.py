@@ -8,6 +8,7 @@ l1 ball via its halfspace relaxation, tracking the mean squared error to
 the planted signal.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -114,8 +115,8 @@ class TableSpec:
             raise ValueError("initial_points must be nonempty")
         if len(self.tolerances) == 0:
             raise ValueError("tolerances must be nonempty")
-        if not all(tol > 0 for tol in self.tolerances):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < tol < math.inf for tol in self.tolerances):
+            raise ValueError("tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -40,10 +40,6 @@ def _relaxed_l1_project_np(x, anchor, omega):
     return x + ((s - c) / nsq) * tau
 
 
-def _least_squares_grad_np(mat, mat_t, rhs, x):
-    return mat_t @ (mat @ x - rhs)
-
-
 def _correction_and_norms_np(u, z, fu, fz, lam):
     # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
     dfv = fu - fz
@@ -99,13 +95,6 @@ if njit is not None:
         return out
 
     @njit(cache=True)
-    def _least_squares_grad_nb(mat, mat_t, rhs, x):
-        r = np.dot(mat, x)
-        for i in range(r.shape[0]):
-            r[i] -= rhs[i]
-        return np.dot(mat_t, r)
-
-    @njit(cache=True)
     def _correction_and_norms_nb(u, z, fu, fz, lam):
         n = u.shape[0]
         u_next = np.empty_like(u)
@@ -127,7 +116,6 @@ _BACKENDS = {
     "numpy": {
         "box_project": _box_project_np,
         "relaxed_l1_project": _relaxed_l1_project_np,
-        "least_squares_grad": _least_squares_grad_np,
         "correction_and_norms": _correction_and_norms_np,
     }
 }
@@ -135,7 +123,6 @@ if njit is not None:
     _BACKENDS["numba"] = {
         "box_project": _box_project_nb,
         "relaxed_l1_project": _relaxed_l1_project_nb,
-        "least_squares_grad": _least_squares_grad_nb,
         "correction_and_norms": _correction_and_norms_nb,
     }
 
@@ -144,20 +131,17 @@ ACTIVE_BACKEND = ""
 
 box_project = None
 relaxed_l1_project = None
-least_squares_grad = None
 correction_and_norms = None
 
 
 def use_backend(name):
     """Bind the module-level kernel names to the given backend."""
-    global ACTIVE_BACKEND, box_project, relaxed_l1_project
-    global least_squares_grad, correction_and_norms
+    global ACTIVE_BACKEND, box_project, relaxed_l1_project, correction_and_norms
     if name not in _BACKENDS:
         raise ValueError(f"unknown kernel backend {name!r}; available: {AVAILABLE_BACKENDS}")
     impls = _BACKENDS[name]
     box_project = impls["box_project"]
     relaxed_l1_project = impls["relaxed_l1_project"]
-    least_squares_grad = impls["least_squares_grad"]
     correction_and_norms = impls["correction_and_norms"]
     ACTIVE_BACKEND = name
     return name

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .geometry import Box
 
 
@@ -110,7 +109,11 @@ class PiecewiseQuad(Mapping):
 
 
 class LeastSquares(Mapping):
-    """F(u) = T'(Tu - y): monotone gradient of the least-squares loss."""
+    """F(u) = T'(Tu - y): monotone gradient of the least-squares loss.
+
+    Only the one matrix ``mat`` is stored; ``mat_t`` is the view ``mat.T``,
+    not a copy, so an evaluation streams a single matrix's memory twice.
+    """
 
     def __init__(self, mat, rhs, known_solutions=(), lipschitz_hint=None):
         self.mat = np.ascontiguousarray(mat, dtype=np.float64)
@@ -121,7 +124,7 @@ class LeastSquares(Mapping):
             raise ValueError(
                 f"rhs shape {self.rhs.shape} does not match mat rows {self.mat.shape[0]}"
             )
-        self.mat_t = np.ascontiguousarray(self.mat.T)
+        self.mat_t = self.mat.T
         self.dim = self.mat.shape[1]
         if lipschitz_hint is not None and not lipschitz_hint > 0:
             raise ValueError("lipschitz_hint must be positive")
@@ -136,7 +139,7 @@ class LeastSquares(Mapping):
         if x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: x {x.shape}, operator dim {self.dim}")
         if x.ndim == 1:
-            return kernels.least_squares_grad(self.mat, self.mat_t, self.rhs, x)
+            return self.mat_t @ (self.mat @ x - self.rhs)
         return (x @ self.mat_t - self.rhs) @ self.mat
 
 

@@ -40,8 +40,8 @@ class XiSequence:
     exponent: float = 1.1
 
     def __post_init__(self):
-        if self.scale < 0:
-            raise ValueError("scale must be nonnegative")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("scale must be nonnegative and finite")
         if not self.exponent > 1:
             raise ValueError("exponent must exceed 1 for summability")
 
@@ -77,8 +77,8 @@ class SquaredStep:
     tol: float
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,8 @@ class ExactTermination:
     tol_z: float = 0.0
 
     def __post_init__(self):
-        if self.tol_z < 0:
-            raise ValueError("tol_z must be nonnegative")
+        if not 0 <= self.tol_z < math.inf:
+            raise ValueError("tol_z must be nonnegative and finite")
 
 
 @dataclass(eq=False)
@@ -101,8 +101,8 @@ class MseToReference:
 
     def __post_init__(self):
         self.reference = np.atleast_1d(np.asarray(self.reference, dtype=np.float64))
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 StoppingRule = SquaredStep | ExactTermination | MseToReference
@@ -118,8 +118,8 @@ class SolverConfig:
     trace_level: str = "full"
 
     def __post_init__(self):
-        if not self.lambda1 > 0:
-            raise ValueError("lambda1 must be positive")
+        if not 0 < self.lambda1 < math.inf:
+            raise ValueError("lambda1 must be positive and finite")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
         if self.max_iters < 1:
@@ -175,9 +175,14 @@ def _check_finite(values, n, what):
         raise NumericError(f"non-finite {what} at iteration {n}", iteration=n)
 
 
-def _project_step(feasible_set, u, w):
+def _project_step(feasible_set, u, w, n):
     if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
-        return project(feasible_set, w, ProjectionContext(u))
+        try:
+            return project(feasible_set, w, ProjectionContext(u))
+        except RuntimeError as exc:
+            # at a zero anchor an overflowed u_n - lam F(u_n) leaves the
+            # halfspace test NaN, which the projection reports this way
+            raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
     return project(feasible_set, w)
 
 
@@ -185,7 +190,7 @@ def _step(u, lam, f, feasible_set, n, cfg):
     """One iteration; returns everything downstream bookkeeping needs."""
     fu = np.asarray(f(u), dtype=np.float64)
     _check_finite(fu, n, "operator value F(u_n)")
-    z = _project_step(feasible_set, u, u - lam * fu)
+    z = _project_step(feasible_set, u, u - lam * fu, n)
     fz = np.asarray(f(z), dtype=np.float64)
     u_next, res, df, err_sq = kernels.correction_and_norms(u, z, fu, fz, lam)
     # with F(u_n) finite, a non-finite entry of F(z_n) makes df non-finite
@@ -221,6 +226,8 @@ def solve(f, feasible_set, u1, cfg):
         raise ValueError("initial point must be finite")
     lam = float(cfg.lambda1)
     stop = cfg.stop
+    if isinstance(stop, MseToReference) and stop.reference.shape != u.shape:
+        raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {u.shape}")
     full = cfg.trace_level == "full"
 
     us = [u.copy()]

@@ -2,11 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import qvi
 from qvi.cli import emit_csv, main, parse_config, write_config
 from qvi.plots import emit_svg_plot
 
@@ -71,6 +75,10 @@ def test_out_of_range_values_are_named():
         parse_config(["solve", "--tol", "0"])
     with pytest.raises(ValueError, match="xi-exp"):
         parse_config(["solve", "--xi-exp", "0.9"])
+    for flag, name in (("--tol", "tol"), ("--lambda1", "lambda1"), ("--xi-scale", "xi-scale")):
+        for bad in ("inf", "nan"):
+            with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+                parse_config(["table1", flag, bad])
 
 
 def test_seed_env_fallback(monkeypatch):
@@ -196,6 +204,25 @@ def test_exit_codes():
         "--lambda1", "1e200", "--max-iters", "5", "--out", "/tmp",
     ])
     assert code == 3
+    for flag in ("--tol", "--lambda1", "--xi-scale"):
+        assert main(["table1", flag, "inf"]) == 2
+
+
+def test_relaxed_projection_failure_exits_3_without_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(qvi.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [
+            sys.executable, "-m", "qvi.cli", "recovery", "--lambda1", "1e308",
+            "--M", "32", "--N", "64", "--K", "4", "--out", str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert out.returncode == 3
+    assert "Traceback" not in out.stderr
+    assert "numeric failure" in out.stderr
 
 
 # --- SVG ---------------------------------------------------------------------

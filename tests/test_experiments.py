@@ -113,8 +113,9 @@ def test_table_spec_validation():
     with pytest.raises(ValueError):
         TableSpec(problem="cubic", initial_points=(1.0,), tolerances=())
     # min() over a tuple holding NaN depends on order, so NaN is rejected
-    # with the other non-positive tolerances, wherever it sits
-    for bad in (0.0, -1e-6, np.nan):
+    # with the other non-positive tolerances, wherever it sits; an infinite
+    # tolerance would mark every row converged after one step
+    for bad in (0.0, -1e-6, np.nan, np.inf):
         for tolerances in ((bad,), (1e-6, bad), (bad, 1e-8)):
             with pytest.raises(ValueError, match="tolerances must be positive"):
                 TableSpec(problem="cubic", initial_points=(1.0,), tolerances=tolerances)

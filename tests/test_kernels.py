@@ -43,17 +43,6 @@ def test_relaxed_l1_parity(n):
 
 
 @needs_numba
-def test_least_squares_parity():
-    mat = rng.standard_normal((40, 90))
-    mat_t = np.ascontiguousarray(mat.T)
-    y = rng.standard_normal(40)
-    x = rng.standard_normal(90)
-    a = _impl("numpy", "least_squares_grad")(mat, mat_t, y, x)
-    b = _impl("numba", "least_squares_grad")(mat, mat_t, y, x)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
-
-
-@needs_numba
 @pytest.mark.parametrize("n", [1, 9, 300])
 def test_correction_parity(n):
     u, z, fu, fz = (rng.standard_normal(n) for _ in range(4))

@@ -75,6 +75,22 @@ def test_least_squares_batch_matches_single():
         np.testing.assert_allclose(out[i], f(batch[i]), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("m, n", [(40, 90), (256, 512)])
+def test_least_squares_stores_one_matrix(m, n):
+    inst = gen_recovery(m, n, 4, seed=7)
+    f = LeastSquares(inst.mat, inst.observed)
+    assert np.shares_memory(f.mat_t, f.mat)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal(n)
+    np.testing.assert_array_equal(f(x), f.mat.T @ (f.mat @ x - inst.observed))
+    batch = rng.standard_normal((5, n))
+    out = f(batch)
+    for i in range(5):
+        single = f(batch[i])
+        scale = np.max(np.abs(single))
+        np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-12 * scale)
+
+
 def test_cubic_zeros_are_exactly_the_known_set():
     f = CubicQuasi()
     rng = np.random.default_rng(21)

@@ -9,6 +9,7 @@ from qvi import (
     CubicQuasi,
     ExactTermination,
     HalfSpaceRelaxedL1Ball,
+    LeastSquares,
     MseToReference,
     NumericError,
     SinePlusOne,
@@ -17,6 +18,7 @@ from qvi import (
     XiSequence,
     cubic_problem,
     fejer_audit,
+    gen_recovery,
     piecewise_problem,
     sine_problem,
     solve,
@@ -46,6 +48,9 @@ def test_xi_sequence_validation():
         XiSequence(100.0, 1.0)
     with pytest.raises(ValueError):
         XiSequence(-1.0, 1.1)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            XiSequence(bad, 1.1)
 
 
 def test_xi_prefix_sums_and_total_bound():
@@ -202,6 +207,24 @@ def test_solver_config_validation():
         ExactTermination(-1.0)
     with pytest.raises(ValueError):
         MseToReference(np.zeros(2), 0.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(lambda1=bad)
+        with pytest.raises(ValueError, match="finite"):
+            SquaredStep(bad)
+        with pytest.raises(ValueError, match="finite"):
+            ExactTermination(bad)
+        with pytest.raises(ValueError, match="finite"):
+            MseToReference(np.zeros(2), bad)
+
+
+def test_reference_shape_must_match_start():
+    f, box = cubic_problem()
+    box4 = Box(np.full(4, -1.0), np.full(4, 1.0))
+    cfg = SolverConfig(stop=MseToReference(np.zeros(1), 1e-12), max_iters=5)
+    with pytest.raises(ValueError, match="reference shape"):
+        solve(f, box4, np.full(4, 0.6), cfg)
+    assert solve(f, box, 0.6, cfg).iterations >= 1
 
 
 def test_non_finite_inputs_raise():
@@ -274,6 +297,19 @@ def test_overflowing_iterate_is_named(where):
             solve(_Scripted({}), GUARD_SETS[where], np.zeros(2), cfg)
     assert str(err.value) == "non-finite iterate u_{n+1} at iteration 1"
     assert err.value.iteration == 1
+
+
+def test_relaxed_projection_failure_is_numeric():
+    # u_1 - lam_1 F(u_1) overflows at the zero start, the anchor of the
+    # relaxed halfspace, so its projection has no direction to move along
+    inst = gen_recovery(32, 64, 4, seed=0)
+    f = LeastSquares(inst.mat, inst.observed)
+    cfg = SolverConfig(lambda1=1e308, stop=MseToReference(inst.signal, 1e-6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError) as err:
+            solve(f, HalfSpaceRelaxedL1Ball(inst.omega), np.zeros(64), cfg)
+    assert err.value.iteration == 1
+    assert "zero subgradient" in str(err.value)
 
 
 def test_overflowing_step_norm_with_finite_iterates_runs_on():

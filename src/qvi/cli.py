@@ -319,14 +319,7 @@ def _cmd_table(cfg):
 
 def _cmd_recovery(cfg):
     instance = experiments.gen_recovery(cfg.m, cfg.n, cfg.k, cfg.seed)
-    solver_cfg = SolverConfig(
-        lambda1=cfg.lambda1,
-        mu=cfg.mu,
-        xi_params=cfg.xi_params(),
-        stop=MseToReference(instance.signal, cfg.tol[0]),
-        max_iters=cfg.max_iters,
-        trace_level="full",
-    )
+    solver_cfg = cfg.solver_config(MseToReference(instance.signal, cfg.tol[0]))
     t0 = time.perf_counter()
     out = experiments.run_recovery(instance, solver_cfg)
     cpu = time.perf_counter() - t0

@@ -95,16 +95,21 @@ def fejer_audit(trace, f, u, mu):
         raise ValueError("audit needs a trace with z iterates")
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
     n = trace.z.shape[0]
-    u_cur = trace.u[:n]
-    u_next = trace.u[1 : n + 1]
     lam = trace.lam[:n]
     lam_next = trace.lam[1 : n + 1]
     fz = np.asarray(f(trace.z), dtype=np.float64)
-    d_next = np.sum((u_next - u) ** 2, axis=1)
-    d_cur = np.sum((u_cur - u) ** 2, axis=1)
-    shrink = (1.0 - mu**2 * lam**2 / lam_next**2) * np.sum((trace.z - u_cur) ** 2, axis=1)
-    pairing = 2.0 * lam * np.einsum("ij,ij->i", fz, trace.z - u)
-    return float(np.max(d_next - d_cur + shrink + pairing))
+    # one work buffer: ||u_k - u||^2 for all n+1 iterates, then its first n
+    # rows for z_n - u_n and z_n - u
+    w = np.subtract(trace.u[: n + 1], u)
+    w *= w
+    dist_sq = w.sum(axis=1)
+    wz = w[:n]
+    np.subtract(trace.z, trace.u[:n], out=wz)
+    wz *= wz
+    shrink = (1.0 - mu**2 * lam**2 / lam_next**2) * wz.sum(axis=1)
+    np.subtract(trace.z, u, out=wz)
+    pairing = 2.0 * lam * np.einsum("ij,ij->i", fz, wz)
+    return float(np.max(dist_sq[1:] - dist_sq[:n] + shrink + pairing))
 
 
 def step_bound_violation(trace, cfg, lipschitz):
@@ -150,8 +155,14 @@ def realized_lipschitz(trace, f):
     n = trace.z.shape[0]
     fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
     fz = np.asarray(f(trace.z), dtype=np.float64)
-    df = np.linalg.norm(fu - fz, axis=1)
-    res = np.linalg.norm(trace.u[:n] - trace.z, axis=1)
+    # row norms as sqrt of summed squares, which is what np.linalg.norm
+    # computes along an axis, in one work buffer
+    w = np.subtract(fu, fz)
+    w *= w
+    df = np.sqrt(w.sum(axis=1))
+    np.subtract(trace.u[:n], trace.z, out=w)
+    w *= w
+    res = np.sqrt(w.sum(axis=1))
     keep = res > 0
     if not np.any(keep):
         return 0.0
@@ -163,9 +174,12 @@ def tseng_identity_error(trace, f):
     n = trace.z.shape[0]
     fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
     fz = np.asarray(f(trace.z), dtype=np.float64)
-    lhs = trace.u[1 : n + 1] - trace.z
-    rhs = trace.lam[:n, None] * (fu - fz)
-    return float(np.max(np.abs(lhs - rhs)))
+    rhs = np.subtract(fu, fz)
+    rhs *= trace.lam[:n, None]
+    w = np.subtract(trace.u[1 : n + 1], trace.z)
+    np.subtract(w, rhs, out=w)
+    np.abs(w, out=w)
+    return float(np.max(w))
 
 
 def build_separation_certificate(points):

@@ -144,19 +144,25 @@ class LeastSquares(Mapping):
 
 
 def power_iteration_gram_norm(mat, max_iters=10_000, rtol=1e-13, seed=0):
-    """Largest eigenvalue of T'T by power iteration (deterministic start)."""
+    """Largest eigenvalue of T'T by power iteration (deterministic start).
+
+    Each step makes one Gram product w = T'(T v): it gives both the
+    Rayleigh quotient v'w of the current unit vector v and, normalized, the
+    next v.
+    """
     mat = np.asarray(mat, dtype=np.float64)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])
     v /= np.linalg.norm(v)
+    w = mat.T @ (mat @ v)
     est = 0.0
     for _ in range(max_iters):
-        w = mat.T @ (mat @ v)
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        new_est = float(v @ (mat.T @ (mat @ v)))
+        w = mat.T @ (mat @ v)
+        new_est = float(v @ w)
         if abs(new_est - est) <= rtol * max(1.0, abs(new_est)):
             return new_est
         est = new_est

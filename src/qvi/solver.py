@@ -108,7 +108,7 @@ class MseToReference:
 StoppingRule = SquaredStep | ExactTermination | MseToReference
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class SolverConfig:
     lambda1: float = 1.0
     mu: float = 0.3
@@ -204,6 +204,12 @@ def _step(u, lam, f, feasible_set, n, cfg):
     return u_next, z, lam_next, fz, res, df, err_sq
 
 
+# numpy's overflow and invalid-value warnings are silenced once per call:
+# the finiteness checks in _step report such a failure as NumericError
+_QUIET_FP = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET_FP
 def tseng_step(u, lam, f, feasible_set, n, cfg):
     """Single iteration: returns (u_{n+1}, z_n, lam_{n+1})."""
     if not lam > 0:
@@ -213,6 +219,7 @@ def tseng_step(u, lam, f, feasible_set, n, cfg):
     return u_next, z, lam_next
 
 
+@_QUIET_FP
 def solve(f, feasible_set, u1, cfg):
     """Run the iteration from u1 until the stopping rule fires or max_iters.
 

@@ -222,6 +222,7 @@ def test_relaxed_projection_failure_exits_3_without_traceback(tmp_path):
     )
     assert out.returncode == 3
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
     assert "numeric failure" in out.stderr
 
 

@@ -7,17 +7,22 @@ import pytest
 
 from conftest import scalar_config
 from qvi import (
+    LeastSquares,
+    Mapping,
     PiecewiseQuad,
     SolveTrace,
     build_separation_certificate,
+    cubic_problem,
     estimate_rates,
     fejer_audit,
     gen_recovery,
     piecewise_problem,
     ratio_series,
+    realized_lipschitz,
     run_recovery,
     sine_problem,
     solve,
+    tseng_identity_error,
     verify_disjointness,
 )
 
@@ -196,3 +201,80 @@ def test_fejer_audit_needs_trace():
     f, _ = sine_problem()
     with pytest.raises(ValueError):
         fejer_audit(None, f, np.array([0.0]), mu=0.5)
+
+
+# --- audits against their one-line formulas ----------------------------------
+
+def _fejer_reference(trace, f, u, mu):
+    n = trace.z.shape[0]
+    u_cur, u_next = trace.u[:n], trace.u[1 : n + 1]
+    lam, lam_next = trace.lam[:n], trace.lam[1 : n + 1]
+    fz = np.asarray(f(trace.z), dtype=np.float64)
+    d_next = np.sum((u_next - u) ** 2, axis=1)
+    d_cur = np.sum((u_cur - u) ** 2, axis=1)
+    shrink = (1.0 - mu**2 * lam**2 / lam_next**2) * np.sum((trace.z - u_cur) ** 2, axis=1)
+    pairing = 2.0 * lam * np.einsum("ij,ij->i", fz, trace.z - u)
+    return float(np.max(d_next - d_cur + shrink + pairing))
+
+
+def _realized_reference(trace, f):
+    n = trace.z.shape[0]
+    fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
+    fz = np.asarray(f(trace.z), dtype=np.float64)
+    df = np.linalg.norm(fu - fz, axis=1)
+    res = np.linalg.norm(trace.u[:n] - trace.z, axis=1)
+    keep = res > 0
+    return float(np.max(df[keep] / res[keep])) if np.any(keep) else 0.0
+
+
+def _identity_reference(trace, f):
+    n = trace.z.shape[0]
+    fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
+    fz = np.asarray(f(trace.z), dtype=np.float64)
+    lhs = trace.u[1 : n + 1] - trace.z
+    rhs = trace.lam[:n, None] * (fu - fz)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+class _ReadOnlyValues(Mapping):
+    """Operator whose results the caller may not write into."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def __call__(self, x):
+        out = np.array(self.inner(x))
+        out.flags.writeable = False
+        return out
+
+
+def _read_only(trace):
+    arrays = {}
+    for name in ("u", "z", "lam", "errors", "residuals", "operator_diffs"):
+        arr = getattr(trace, name).copy()
+        arr.flags.writeable = False
+        arrays[name] = arr
+    return SolveTrace(**arrays)
+
+
+def test_audits_equal_reference_formulas_without_writing_inputs():
+    inst = gen_recovery(40, 90, 5, seed=2)
+    recovery = run_recovery(inst).result.trace
+    f_cubic, box = cubic_problem()
+    cubic = solve(f_cubic, box, 0.6, scalar_config(mu=0.3, col_tol=1e-8)).trace
+    cases = [
+        (recovery, LeastSquares(inst.mat, inst.observed), inst.signal, 0.3),
+        (cubic, f_cubic, np.zeros(1), 0.3),
+    ]
+    for trace, f, reference, mu in cases:
+        expected = (
+            _fejer_reference(trace, f, reference, mu),
+            _realized_reference(trace, f),
+            _identity_reference(trace, f),
+        )
+        assert trace.iterations > 20
+        for t, g in ((trace, f), (_read_only(trace), _ReadOnlyValues(f))):
+            got = (fejer_audit(t, g, reference, mu), realized_lipschitz(t, g),
+                   tseng_identity_error(t, g))
+            assert got == expected

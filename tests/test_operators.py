@@ -190,6 +190,37 @@ def test_power_iteration_matches_dense_eigensolver():
     assert power_iteration_gram_norm(mat) == pytest.approx(exact, rel=1e-10)
 
 
+def _power_iteration_two_products(mat, max_iters=10_000, rtol=1e-13, seed=0):
+    """Reference loop that forms T'(T v) twice for each v."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(mat.shape[1])
+    v /= np.linalg.norm(v)
+    est = 0.0
+    for _ in range(max_iters):
+        w = mat.T @ (mat @ v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        new_est = float(v @ (mat.T @ (mat @ v)))
+        if abs(new_est - est) <= rtol * max(1.0, abs(new_est)):
+            return new_est
+        est = new_est
+    return est
+
+
+@pytest.mark.parametrize("max_iters", [1, 3, 10_000])
+def test_power_iteration_equals_two_product_loop(max_iters):
+    rng = np.random.default_rng(5)
+    mats = [rng.standard_normal(shape) for shape in ((6, 9), (20, 11), (40, 90))]
+    mats.append(gen_recovery(40, 90, 5, seed=3).mat)
+    for mat in mats:
+        for seed in (0, 1):
+            got = power_iteration_gram_norm(mat, max_iters=max_iters, seed=seed)
+            assert got == _power_iteration_two_products(mat, max_iters=max_iters, seed=seed)
+    assert power_iteration_gram_norm(np.zeros((4, 6)), max_iters=max_iters) == 0.0
+
+
 def test_least_squares_monotone():
     inst = gen_recovery(15, 30, 4, seed=13)
     f = LeastSquares(inst.mat, inst.observed)

@@ -1,5 +1,9 @@
 """Step arithmetic, stopping behavior, and iteration invariants."""
 
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,8 +189,7 @@ def test_trace_shapes_and_levels():
     assert trace.residuals.shape == (n,)
     assert trace.iterations == n
 
-    cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    cfg.trace_level = "final"
+    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6), trace_level="final")
     assert solve(f, box, 0.6, cfg).trace is None
 
 
@@ -216,6 +219,15 @@ def test_solver_config_validation():
             ExactTermination(bad)
         with pytest.raises(ValueError, match="finite"):
             MseToReference(np.zeros(2), bad)
+
+
+def test_solver_config_is_frozen():
+    cfg = SolverConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda1 = math.inf
+    assert cfg.lambda1 == 1.0
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(cfg, lambda1=math.inf)
 
 
 def test_reference_shape_must_match_start():
@@ -292,7 +304,8 @@ def test_non_finite_operator_values_name_the_failure(where, call, value, what, i
 def test_overflowing_iterate_is_named(where):
     # F(u_1) and F(z_1) stay finite, lam_1 (F(u_1) - F(z_1)) overflows
     cfg = SolverConfig(lambda1=1e300, stop=SquaredStep(1e-12), max_iters=5)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericError) as err:
             solve(_Scripted({}), GUARD_SETS[where], np.zeros(2), cfg)
     assert str(err.value) == "non-finite iterate u_{n+1} at iteration 1"
@@ -305,9 +318,14 @@ def test_relaxed_projection_failure_is_numeric():
     inst = gen_recovery(32, 64, 4, seed=0)
     f = LeastSquares(inst.mat, inst.observed)
     cfg = SolverConfig(lambda1=1e308, stop=MseToReference(inst.signal, 1e-6))
-    with np.errstate(over="ignore", invalid="ignore"):
+    ball = HalfSpaceRelaxedL1Ball(inst.omega)
+    # the overflow is reported once, as NumericError, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(NumericError) as err:
-            solve(f, HalfSpaceRelaxedL1Ball(inst.omega), np.zeros(64), cfg)
+            solve(f, ball, np.zeros(64), cfg)
+        with pytest.raises(NumericError):
+            tseng_step(np.zeros(64), cfg.lambda1, f, ball, 1, cfg)
     assert err.value.iteration == 1
     assert "zero subgradient" in str(err.value)
 
@@ -316,7 +334,8 @@ def test_overflowing_step_norm_with_finite_iterates_runs_on():
     # a constant F moves every iterate by lam F; the squared step overflows
     # while every array stays finite, which is no numeric failure
     cfg = SolverConfig(lambda1=1e200, stop=SquaredStep(1e-12), max_iters=3)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         result = solve(lambda x: np.full(2, -1.0), GUARD_SETS["box"], np.zeros(2), cfg)
     assert result.status == "max_iters"
     assert np.all(np.isfinite(result.trace.u))

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-
 
 def _as_vector(x, name="x"):
     v = np.atleast_1d(np.asarray(x, dtype=np.float64))
@@ -34,7 +32,12 @@ class Box:
         hi = _as_vector(self.hi, "hi")
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
-        if np.any(lo > hi):
+        # lo = +inf or hi = -inf leaves no real point in the box
+        if not (lo < np.inf).all():
+            raise ValueError("box bound lo must be below +inf and not NaN")
+        if not (hi > -np.inf).all():
+            raise ValueError("box bound hi must be above -inf and not NaN")
+        if (lo > hi).any():
             raise ValueError("box requires lo[i] <= hi[i] for all i")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -86,6 +89,25 @@ class ProjectionContext:
                 raise ValueError("tau must equal sign(anchor) componentwise")
 
 
+def box_clamp(x, lo, hi):
+    """Clamp x into [lo, hi] componentwise; the caller matches the shapes."""
+    return np.minimum(np.maximum(x, lo), hi)
+
+
+def relaxed_l1_step(x, anchor, tau, omega):
+    """Relaxed l1 projection of x at anchor, with tau = sign(anchor) given."""
+    c = np.abs(anchor).sum() - omega
+    s = tau @ (anchor - x)
+    if c <= s:
+        return x.copy()
+    nsq = tau @ tau
+    if nsq == 0.0:
+        raise RuntimeError(
+            "relaxed l1 projection: zero subgradient with violated halfspace"
+        )
+    return x + ((s - c) / nsq) * tau
+
+
 def _box_vector(box, x):
     x = _as_vector(x)
     if x.shape != box.lo.shape:
@@ -102,7 +124,7 @@ def project_box(x, lo, hi):
         raise ValueError(
             f"dimension mismatch: x {x.shape}, lo {lo.shape}, hi {hi.shape}"
         )
-    return kernels.box_project(x, lo, hi)
+    return box_clamp(x, lo, hi)
 
 
 def project_relaxed_l1(x, ctx, omega):
@@ -119,7 +141,7 @@ def project_relaxed_l1(x, ctx, omega):
         )
     if omega < 0:
         raise ValueError("omega must be nonnegative")
-    return kernels.relaxed_l1_project(x, ctx.anchor, float(omega))
+    return relaxed_l1_step(x, ctx.anchor, ctx.tau, float(omega))
 
 
 def project(feasible_set, x, ctx=None):
@@ -131,7 +153,7 @@ def project(feasible_set, x, ctx=None):
     if isinstance(feasible_set, Box):
         # the bounds were validated when the Box was built
         x = _box_vector(feasible_set, x)
-        return kernels.box_project(x, feasible_set.lo, feasible_set.hi)
+        return box_clamp(x, feasible_set.lo, feasible_set.hi)
     if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
         if ctx is None:
             raise ValueError("relaxed l1 projection requires a ProjectionContext")

@@ -39,8 +39,11 @@ class Mapping:
         if not self.known_solutions:
             return None
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        best = min(self.known_solutions, key=lambda s: np.linalg.norm(x - s))
-        return np.asarray(best, dtype=np.float64)
+        sols = np.asarray(self.known_solutions, dtype=np.float64)
+        d = x - sols.reshape(len(sols), -1)
+        # argmin takes the first of equal distances, as min() over the tuple did
+        best = np.sqrt(np.add.reduce(d * d, axis=1)).argmin()
+        return np.asarray(self.known_solutions[best], dtype=np.float64)
 
 
 def _scalar_solutions(values):

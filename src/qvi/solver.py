@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
-from .geometry import Box, HalfSpaceRelaxedL1Ball, ProjectionContext, project
+from .geometry import Box, HalfSpaceRelaxedL1Ball, _box_vector, box_clamp, relaxed_l1_step
 
 
 class NumericError(RuntimeError):
@@ -101,6 +100,8 @@ class MseToReference:
 
     def __post_init__(self):
         self.reference = np.atleast_1d(np.asarray(self.reference, dtype=np.float64))
+        if not np.all(np.isfinite(self.reference)):
+            raise ValueError("reference must be finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
 
@@ -122,6 +123,8 @@ class SolverConfig:
             raise ValueError("lambda1 must be positive and finite")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.trace_level not in ("final", "full"):
@@ -160,14 +163,19 @@ class SolveResult:
     trace: SolveTrace | None = None
 
 
+def _next_step(lam, xi_n, res, df, mu):
+    """The step rule: min(mu res / df, lam + xi_n), or lam + xi_n when df is 0."""
+    if df == 0.0:
+        return lam + xi_n
+    return min(mu * res / df, lam + xi_n)
+
+
 def update_stepsize(lam, xi_n, u, z, fu, fz, mu):
     """Step-size update: min(mu ||u-z|| / ||F(u)-F(z)||, lam + xi_n)."""
     u = np.asarray(u, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     df = float(np.linalg.norm(np.asarray(fu, dtype=np.float64) - np.asarray(fz, dtype=np.float64)))
-    if df == 0.0:
-        return lam + xi_n
-    return min(mu * float(np.linalg.norm(u - z)) / df, lam + xi_n)
+    return _next_step(lam, xi_n, float(np.linalg.norm(u - z)), df, mu)
 
 
 def _check_finite(values, n, what):
@@ -175,32 +183,56 @@ def _check_finite(values, n, what):
         raise NumericError(f"non-finite {what} at iteration {n}", iteration=n)
 
 
-def _project_step(feasible_set, u, w, n):
+def _projection(feasible_set, u):
+    """Resolve the feasible set once for iterates shaped like u.
+
+    Returns project(u, w), the projection of w = u - lam F(u); the relaxed
+    l1 halfspace is built at the anchor u.
+    """
+    if u.ndim != 1:
+        raise ValueError(f"initial point must be a vector, got shape {u.shape}")
+    if isinstance(feasible_set, Box):
+        _box_vector(feasible_set, u)
+        lo, hi = feasible_set.lo, feasible_set.hi
+        return lambda u, w: box_clamp(w, lo, hi)
     if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
-        try:
-            return project(feasible_set, w, ProjectionContext(u))
-        except RuntimeError as exc:
-            # at a zero anchor an overflowed u_n - lam F(u_n) leaves the
-            # halfspace test NaN, which the projection reports this way
-            raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
-    return project(feasible_set, w)
+        omega = feasible_set.radius
+        return lambda u, w: relaxed_l1_step(w, u, np.sign(u), omega)
+    raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
 
 
-def _step(u, lam, f, feasible_set, n, cfg):
+def _step(u, lam, f, project, n, cfg):
     """One iteration; returns everything downstream bookkeeping needs."""
     fu = np.asarray(f(u), dtype=np.float64)
-    _check_finite(fu, n, "operator value F(u_n)")
-    z = _project_step(feasible_set, u, u - lam * fu, n)
+    w = u - lam * fu
+    if w.shape != u.shape:
+        raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n {u.shape}")
+    # a NaN or inf entry makes the square sum non-finite; the array check
+    # then tells it from an overflow of finite entries
+    if not math.isfinite(fu.dot(fu)):
+        _check_finite(fu, n, "operator value F(u_n)")
+    try:
+        z = project(u, w)
+    except RuntimeError as exc:
+        # at a zero anchor an overflowed u_n - lam F(u_n) leaves the relaxed
+        # halfspace test NaN, which the projection reports this way
+        raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
     fz = np.asarray(f(z), dtype=np.float64)
-    u_next, res, df, err_sq = kernels.correction_and_norms(u, z, fu, fz, lam)
+    # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
+    dfv = fu - fz
+    duz = u - z
+    u_next = z + lam * dfv
+    res = math.sqrt(duz.dot(duz))
+    df = math.sqrt(dfv.dot(dfv))
+    d = u_next - u
+    err_sq = float(np.add.reduce(d * d))
     # with F(u_n) finite, a non-finite entry of F(z_n) makes df non-finite
     # and one of u_{n+1} makes err_sq non-finite; the array checks then
     # name which value failed
     if not (math.isfinite(df) and math.isfinite(err_sq)):
         _check_finite(fz, n, "operator value F(z_n)")
         _check_finite(u_next, n, "iterate u_{n+1}")
-    xi_n = cfg.xi_params.value(n)
-    lam_next = lam + xi_n if df == 0.0 else min(cfg.mu * res / df, lam + xi_n)
+    lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
     return u_next, z, lam_next, fz, res, df, err_sq
 
 
@@ -215,7 +247,7 @@ def tseng_step(u, lam, f, feasible_set, n, cfg):
     if not lam > 0:
         raise ValueError("lam must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    u_next, z, lam_next, *_ = _step(u, lam, f, feasible_set, n, cfg)
+    u_next, z, lam_next, *_ = _step(u, lam, f, _projection(feasible_set, u), n, cfg)
     return u_next, z, lam_next
 
 
@@ -229,10 +261,13 @@ def solve(f, feasible_set, u1, cfg):
     iterate.
     """
     u = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise ValueError("initial point must be finite")
+    project = _projection(feasible_set, u)
     lam = float(cfg.lambda1)
     stop = cfg.stop
+    squared = isinstance(stop, SquaredStep)
+    exact = isinstance(stop, ExactTermination)
     if isinstance(stop, MseToReference) and stop.reference.shape != u.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {u.shape}")
     full = cfg.trace_level == "full"
@@ -249,17 +284,19 @@ def solve(f, feasible_set, u1, cfg):
     iterations = 0
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u_next, z, lam_next, fz, res, df, err_sq = _step(u, lam, f, feasible_set, n, cfg)
-        if isinstance(stop, SquaredStep):
+        u_next, z, lam_next, fz, res, df, err_sq = _step(u, lam, f, project, n, cfg)
+        if squared:
             error = err_sq
             done = error < stop.tol
-        elif isinstance(stop, MseToReference):
-            error = float(np.mean((u_next - stop.reference) ** 2))
-            done = error < stop.tol
-        else:
-            fz_norm = float(np.linalg.norm(fz))
+        elif exact:
+            fz_norm = math.sqrt(fz.dot(fz))
             error = min(res, fz_norm)
             done = res <= stop.tol_z or fz_norm <= stop.tol_z
+        else:
+            # np.mean's reduction and division, without its dispatch
+            d = u_next - stop.reference
+            error = float(np.add.reduce(d * d)) / d.size
+            done = error < stop.tol
         if full:
             us.append(u_next)
             zs.append(z)
@@ -269,8 +306,8 @@ def solve(f, feasible_set, u1, cfg):
         operator_diffs.append(df)
         iterations = n
         if done:
-            status = "terminated_exact" if isinstance(stop, ExactTermination) else "converged"
-            final = z if isinstance(stop, ExactTermination) else u_next
+            status = "terminated_exact" if exact else "converged"
+            final = z if exact else u_next
             break
         u, lam = u_next, lam_next
         final = u
@@ -278,9 +315,10 @@ def solve(f, feasible_set, u1, cfg):
 
     trace = None
     if full:
+        dim = u.shape[0]
         trace = SolveTrace(
-            u=np.stack(us),
-            z=np.stack(zs) if zs else np.zeros((0, u.shape[0])),
+            u=np.concatenate(us).reshape(-1, dim),
+            z=np.concatenate(zs).reshape(-1, dim) if zs else np.zeros((0, dim)),
             lam=np.asarray(lams),
             errors=np.asarray(errors),
             residuals=np.asarray(residuals),

@@ -5,8 +5,8 @@ import qvi
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger numba compilation once so timed tests measure steady state."""
+def warm_up():
+    """Run one scalar and one recovery solve so timed tests measure steady state."""
     f, box = qvi.cubic_problem()
     cfg = qvi.SolverConfig(stop=qvi.SquaredStep(1e-12), max_iters=5)
     qvi.solve(f, box, 0.6, cfg)

@@ -24,7 +24,6 @@ import pytest
 
 import qvi
 from conftest import hull_lipschitz, scalar_config
-from qvi import kernels
 
 
 @contextmanager
@@ -237,7 +236,3 @@ def test_criterion_9_separation_certificates():
             cert = qvi.build_separation_certificate(points)
             assert qvi.verify_disjointness(cert, samples=10_000, seed=0)
 
-
-def test_backend_note():
-    # not a criterion: record which kernel backend the gate ran under
-    print(f"[info] kernel backend: {kernels.ACTIVE_BACKEND}")

@@ -12,6 +12,7 @@ from qvi import (
     project_box,
     project_relaxed_l1,
 )
+from qvi.geometry import relaxed_l1_step
 
 PROP_TOL = 1e-12
 HALFSPACE_TOL = 1e-10
@@ -46,6 +47,21 @@ def test_box_invalid_bounds():
         Box([1.0], [0.0])
 
 
+@pytest.mark.parametrize(
+    "lo, hi, bound",
+    [
+        (np.nan, 1.0, "lo"),
+        (0.0, np.nan, "hi"),
+        ([0.0, np.nan], [1.0, 1.0], "lo"),
+        (np.inf, np.inf, "lo"),
+        (-np.inf, -np.inf, "hi"),
+    ],
+)
+def test_box_rejects_nan_and_empty_infinite_bounds(lo, hi, bound):
+    with pytest.raises(ValueError, match=f"box bound {bound} "):
+        Box(lo, hi)
+
+
 def test_relaxed_l1_passthrough():
     # c = -1 < 0 = <tau, anchor - x> so x is already in the halfspace
     ctx = ProjectionContext(np.zeros(2))
@@ -66,6 +82,13 @@ def test_relaxed_l1_hand_values():
 def test_relaxed_l1_dimension_mismatch():
     with pytest.raises(ValueError):
         project_relaxed_l1([1.0], ProjectionContext([1.0, 2.0]), 1.0)
+
+
+def test_relaxed_l1_zero_subgradient_guard():
+    # only reachable with a negative radius: anchor 0 makes c = -omega
+    anchor = np.array([0.0])
+    with pytest.raises(RuntimeError, match="zero subgradient"):
+        relaxed_l1_step(np.array([1.0]), anchor, np.sign(anchor), -1.0)
 
 
 def test_projection_context_tau_is_sign():

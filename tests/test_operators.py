@@ -248,6 +248,14 @@ def test_nearest_solution_snapping():
     assert CubicQuasi().nearest_solution(np.array([0.98]))[0] == 1.0
 
 
+def test_nearest_solution_tie_takes_the_first():
+    # 0.5 is as far from 0 as from 1, and -0.5 as far from -1 as from 0;
+    # the solution listed first wins, as min() over the tuple chose
+    cubic = CubicQuasi()
+    assert cubic.nearest_solution([0.5])[0] == 0.0
+    assert cubic.nearest_solution([-0.5])[0] == -1.0
+
+
 def test_check_quasimonotone_validation():
     with pytest.raises(ValueError):
         check_quasimonotone(CubicQuasi(), Box(-1.0, 1.0), pairs=0, seed=0)

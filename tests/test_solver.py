@@ -16,6 +16,7 @@ from qvi import (
     LeastSquares,
     MseToReference,
     NumericError,
+    ProjectionContext,
     SinePlusOne,
     SolverConfig,
     SquaredStep,
@@ -24,6 +25,8 @@ from qvi import (
     fejer_audit,
     gen_recovery,
     piecewise_problem,
+    project,
+    run_recovery,
     sine_problem,
     solve,
     step_bound_violation,
@@ -33,6 +36,7 @@ from qvi import (
     update_stepsize,
     xi,
 )
+from qvi.experiments import default_recovery_config
 
 XI_DEFAULT = XiSequence(100.0, 1.1)
 
@@ -230,6 +234,50 @@ def test_solver_config_is_frozen():
         dataclasses.replace(cfg, lambda1=math.inf)
 
 
+def test_non_finite_reference_is_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="reference must be finite"):
+            MseToReference(np.array([0.0, bad]), 1e-6)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "5", None])
+def test_max_iters_must_be_an_integer(bad):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        SolverConfig(max_iters=bad)
+    assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
+
+class _Counting:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def test_wrong_start_dimension_on_a_box_fails_before_any_operator_call():
+    f, box = cubic_problem()
+    counting = _Counting(f)
+    cfg = scalar_config(mu=0.3, col_tol=1e-6)
+    for call in (
+        lambda: solve(counting, box, np.zeros(2), cfg),
+        lambda: tseng_step(np.zeros(2), 1.0, counting, box, 1, cfg),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "dimension mismatch: x (2,), box dim 1"
+    assert counting.calls == 0
+
+
+def test_operator_value_that_does_not_fit_the_iterate_is_rejected():
+    cfg = scalar_config(mu=0.3, col_tol=1e-6)
+    for feasible_set in (Box(-1.0, 1.0), HalfSpaceRelaxedL1Ball(1.0)):
+        with pytest.raises(ValueError, match="dimension mismatch: F"):
+            solve(lambda x: np.zeros(3), feasible_set, np.array([0.5]), cfg)
+
+
 def test_reference_shape_must_match_start():
     f, box = cubic_problem()
     box4 = Box(np.full(4, -1.0), np.full(4, 1.0))
@@ -340,6 +388,94 @@ def test_overflowing_step_norm_with_finite_iterates_runs_on():
     assert result.status == "max_iters"
     assert np.all(np.isfinite(result.trace.u))
     assert np.all(result.trace.errors == np.inf)
+
+
+# --- the loop against a reference step ------------------------------------
+
+def _reference_solve(f, feasible_set, u1, cfg):
+    """The iteration step by step through the public projection.
+
+    Each step builds a ProjectionContext and calls project(), and the
+    correction, norms, squared step and MSE use np.linalg.norm, np.mean and
+    np.stack. Returns the trace arrays, the final point, the status and the
+    halfspace branches the relaxed projections took.
+    """
+    u = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
+    lam = float(cfg.lambda1)
+    stop = cfg.stop
+    us, zs, lams, errors, residuals, diffs = [u.copy()], [], [lam], [], [], []
+    branches = set()
+    status, final = "max_iters", u
+    for n in range(1, cfg.max_iters + 1):
+        fu = np.asarray(f(u), dtype=np.float64)
+        w = u - lam * fu
+        if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
+            ctx = ProjectionContext(u)
+            c = np.abs(u).sum() - feasible_set.radius
+            branches.add("inside" if c <= ctx.tau @ (u - w) else "moved")
+            z = project(feasible_set, w, ctx)
+        else:
+            z = project(feasible_set, w)
+        fz = np.asarray(f(z), dtype=np.float64)
+        u_next = z + lam * (fu - fz)
+        res = float(np.linalg.norm(u - z))
+        df = float(np.linalg.norm(fu - fz))
+        xi_n = cfg.xi_params.value(n)
+        lam_next = lam + xi_n if df == 0.0 else min(cfg.mu * res / df, lam + xi_n)
+        if isinstance(stop, SquaredStep):
+            error = float(((u_next - u) ** 2).sum())
+            done = error < stop.tol
+        else:
+            error = float(np.mean((u_next - stop.reference) ** 2))
+            done = error < stop.tol
+        us.append(u_next)
+        zs.append(z)
+        lams.append(lam_next)
+        errors.append(error)
+        residuals.append(res)
+        diffs.append(df)
+        if done:
+            status, final = "converged", u_next
+            break
+        u, lam = u_next, lam_next
+        final = u
+    arrays = (np.stack(us), np.stack(zs), np.asarray(lams), np.asarray(errors),
+              np.asarray(residuals), np.asarray(diffs))
+    return arrays, final, status, branches
+
+
+def _assert_same_run(result, reference):
+    arrays, final, status, _ = reference
+    t = result.trace
+    got = (t.u, t.z, t.lam, t.errors, t.residuals, t.operator_diffs)
+    for mine, theirs in zip(got, arrays):
+        assert mine.shape == theirs.shape
+        assert np.all(mine == theirs)
+    assert np.all(result.final_point == final)
+    assert result.status == status
+    assert result.iterations == arrays[1].shape[0]
+
+
+@pytest.mark.parametrize(
+    "problem, mu, u1",
+    [(cubic_problem, 0.3, u1) for u1 in (0.6, 0.9, 2.0, 3.0, -3.0)]
+    + [(sine_problem, 0.5, u1) for u1 in (2.0, 0.1, -0.5, 4.0, -2.0)],
+)
+def test_solve_equals_reference_step_on_table_starts(problem, mu, u1):
+    f, feasible_set = problem()
+    cfg = scalar_config(mu=mu, col_tol=1e-8)
+    _assert_same_run(solve(f, feasible_set, u1, cfg), _reference_solve(f, feasible_set, u1, cfg))
+
+
+def test_solve_equals_reference_step_on_relaxed_l1_recovery():
+    inst = gen_recovery(40, 90, 6, seed=3)
+    out = run_recovery(inst)
+    f = LeastSquares(inst.mat, inst.observed)
+    reference = _reference_solve(
+        f, HalfSpaceRelaxedL1Ball(inst.omega), np.zeros(90), default_recovery_config(inst)
+    )
+    assert reference[3] == {"inside", "moved"}
+    _assert_same_run(out.result, reference)
 
 
 # --- trace invariants ----------------------------------------------------

@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -139,6 +138,25 @@ def _build_parser():
     return parser
 
 
+_NUMBER = ((int, float), "a number")
+_INTEGER = ((int,), "an integer")
+_STRING = ((str,), "a string")
+#: JSON types a config-file value may take, by key; tol may also be a list
+_FILE_TYPES = {
+    **dict.fromkeys(("lambda1", "mu", "xi_scale", "xi_exp", "u1"), _NUMBER),
+    **dict.fromkeys(("max_iters", "seed", "m", "n", "k", "random_rows", "tail_window"), _INTEGER),
+    **dict.fromkeys(("out", "problem", "command"), _STRING),
+    "tol": ((int, float), "a number or a nonempty list of numbers"),
+    "ref": ((int, float, type(None)), "a number or null"),
+    "plot": ((bool,), "true or false"),
+}
+
+
+def _has_type(value, types):
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, types) and (bool in types or not isinstance(value, bool))
+
+
 def _load_config_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -149,27 +167,30 @@ def _load_config_file(path):
         raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
-    known = set(_COMMON_DEFAULTS) | {"seed", "command"}
-    for key in data:
-        if key not in known:
+    for key, value in data.items():
+        if key not in _FILE_TYPES:
             raise ValueError(f"config file {path}: unknown key {key!r}")
+        types, expected = _FILE_TYPES[key]
+        items = value if key == "tol" and isinstance(value, list) and value else [value]
+        if not all(_has_type(item, types) for item in items):
+            raise ValueError(f"config file {path}: {key} must be {expected}, got {value!r}")
     return data
 
 
+#: flag names of the solver-object fields that error messages start with
+_FLAG_NAMES = {"scale": "xi-scale", "exponent": "xi-exp", "max_iters": "max-iters"}
+
+
 def _validate(cfg):
-    if not 0 < cfg.lambda1 < math.inf:
-        raise ValueError("lambda1 must be positive and finite")
-    if not 0.0 < cfg.mu < 1.0:
-        raise ValueError("mu must lie in (0, 1)")
-    if not 0 <= cfg.xi_scale < math.inf:
-        raise ValueError("xi-scale must be nonnegative and finite")
-    if not cfg.xi_exp > 1:
-        raise ValueError("xi-exp must exceed 1")
-    for t in cfg.tol:
-        if not 0 < t < math.inf:
-            raise ValueError("tol must be positive and finite")
-    if cfg.max_iters < 1:
-        raise ValueError("max-iters must be positive")
+    # the solver objects check their own parameters when they are built
+    try:
+        for tol in cfg.tol:
+            cfg.solver_config(SquaredStep(tol))
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_FLAG_NAMES.get(field, field)} {rest}") from exc
+    if cfg.problem not in experiments.PROBLEMS:
+        raise ValueError(f"unknown problem {cfg.problem!r}; choose from {sorted(experiments.PROBLEMS)}")
     if cfg.k < 0 or cfg.k > cfg.n:
         raise ValueError("K must satisfy 0 <= K <= N")
     if cfg.m < 1 or cfg.n < 1:

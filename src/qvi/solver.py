@@ -12,11 +12,19 @@ and then updates the step size
 falling back to lam_n + xi_n when the operator values coincide. The
 perturbations xi_n = a / (n+1)^p are summable (p > 1), so the step sequence
 converges while being allowed to grow between iterations.
+
+``solve`` picks its step once per call from the feasible set and the start.
+A start of shape (1,) in a Box runs the step on Python floats, where numpy
+calls on one-element arrays would cost about ten times the arithmetic; it
+calls F on a fresh float64 array of shape (1,) and clamps with the tie rule
+of np.maximum / np.minimum, so its traces equal the array step's bit for
+bit. Every other start, and ``tseng_step``, runs the array step.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -45,6 +53,7 @@ class XiSequence:
             raise ValueError("exponent must exceed 1 for summability")
 
     def value(self, n):
+        """Perturbation xi_n for iteration n >= 1."""
         return self.scale / (n + 1) ** self.exponent
 
     def prefix_sums(self, count):
@@ -53,20 +62,6 @@ class XiSequence:
             return np.zeros(0)
         vals = self.scale / (np.arange(2, count + 1, dtype=np.float64) ** self.exponent)
         return np.concatenate([[0.0], np.cumsum(vals)])
-
-    def total(self, horizon):
-        """Upper bound on the full series: partial sum plus an integral tail."""
-        partial = float(self.prefix_sums(horizon + 1)[-1])
-        p = self.exponent
-        tail = self.scale * p / ((p - 1.0) * (horizon + 1) ** (p - 1.0))
-        return partial + tail
-
-
-def xi(n, params):
-    """Perturbation xi_n for iteration n >= 1."""
-    if n < 1:
-        raise ValueError("iteration index starts at 1")
-    return params.value(n)
 
 
 @dataclass(frozen=True)
@@ -178,9 +173,13 @@ def update_stepsize(lam, xi_n, u, z, fu, fz, mu):
     return _next_step(lam, xi_n, float(np.linalg.norm(u - z)), df, mu)
 
 
+def _non_finite(what, n):
+    return NumericError(f"non-finite {what} at iteration {n}", iteration=n)
+
+
 def _check_finite(values, n, what):
     if not np.isfinite(values).all():
-        raise NumericError(f"non-finite {what} at iteration {n}", iteration=n)
+        raise _non_finite(what, n)
 
 
 def _projection(feasible_set, u):
@@ -201,12 +200,27 @@ def _projection(feasible_set, u):
     raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
 
 
-def _step(u, lam, f, project, n, cfg):
+def _stepper(feasible_set, u):
+    """Pick the step for a solve from u; returns (step, start).
+
+    step(u, lam, f, n, cfg) performs iteration n. A start of shape (1,) in a
+    Box gets the float step and a float start, any other start the array
+    step and u itself.
+    """
+    # the projection also checks u against the feasible set
+    project = _projection(feasible_set, u)
+    if isinstance(feasible_set, Box) and u.shape == (1,):
+        lo, hi = feasible_set.lo.item(), feasible_set.hi.item()
+        return partial(_scalar_step, lo, hi), u.item()
+    return partial(_step, project), u
+
+
+def _step(project, u, lam, f, n, cfg):
     """One iteration; returns everything downstream bookkeeping needs."""
     fu = np.asarray(f(u), dtype=np.float64)
-    w = u - lam * fu
-    if w.shape != u.shape:
+    if fu.shape != u.shape:
         raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n {u.shape}")
+    w = u - lam * fu
     # a NaN or inf entry makes the square sum non-finite; the array check
     # then tells it from an overflow of finite entries
     if not math.isfinite(fu.dot(fu)):
@@ -218,6 +232,8 @@ def _step(u, lam, f, project, n, cfg):
         # halfspace test NaN, which the projection reports this way
         raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
     fz = np.asarray(f(z), dtype=np.float64)
+    if fz.shape != z.shape:
+        raise ValueError(f"dimension mismatch: F(z_n) {fz.shape}, z_n {z.shape}")
     # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
     dfv = fu - fz
     duz = u - z
@@ -236,6 +252,43 @@ def _step(u, lam, f, project, n, cfg):
     return u_next, z, lam_next, fz, res, df, err_sq
 
 
+def _scalar_step(lo, hi, u, lam, f, n, cfg):
+    """_step on Python floats, for a start of shape (1,) in the box [lo, hi].
+
+    Each float operation is the one IEEE operation the array step applies to
+    its single entry, so both steps give the same bits.
+    """
+    fu = np.asarray(f(np.array((u,))), dtype=np.float64)
+    if fu.shape != (1,):
+        raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n (1,)")
+    fu = fu.item()
+    if not math.isfinite(fu):
+        raise _non_finite("operator value F(u_n)", n)
+    w = u - lam * fu
+    # np.maximum and np.minimum return their second argument on a tie,
+    # which decides the sign of a zero clamped to a zero bound
+    w = w if w > lo else lo
+    z = w if w < hi else hi
+    fz = np.asarray(f(np.array((z,))), dtype=np.float64)
+    if fz.shape != (1,):
+        raise ValueError(f"dimension mismatch: F(z_n) {fz.shape}, z_n (1,)")
+    fz = fz.item()
+    dfv = fu - fz
+    duz = u - z
+    u_next = z + lam * dfv
+    res = math.sqrt(duz * duz)
+    df = math.sqrt(dfv * dfv)
+    d = u_next - u
+    err_sq = d * d
+    # an overflow of err_sq alone, with u_{n+1} finite, is no failure
+    if not math.isfinite(fz):
+        raise _non_finite("operator value F(z_n)", n)
+    if not math.isfinite(u_next):
+        raise _non_finite("iterate u_{n+1}", n)
+    lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
+    return u_next, z, lam_next, fz, res, df, err_sq
+
+
 # numpy's overflow and invalid-value warnings are silenced once per call:
 # the finiteness checks in _step report such a failure as NumericError
 _QUIET_FP = np.errstate(over="ignore", invalid="ignore")
@@ -247,7 +300,7 @@ def tseng_step(u, lam, f, feasible_set, n, cfg):
     if not lam > 0:
         raise ValueError("lam must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    u_next, z, lam_next, *_ = _step(u, lam, f, _projection(feasible_set, u), n, cfg)
+    u_next, z, lam_next, *_ = _step(_projection(feasible_set, u), u, lam, f, n, cfg)
     return u_next, z, lam_next
 
 
@@ -260,19 +313,19 @@ def solve(f, feasible_set, u1, cfg):
     rule returns z_n as the final point, the others return the latest
     iterate.
     """
-    u = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
-    if not np.isfinite(u).all():
+    start = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
+    if not np.isfinite(start).all():
         raise ValueError("initial point must be finite")
-    project = _projection(feasible_set, u)
+    step, u = _stepper(feasible_set, start)
     lam = float(cfg.lambda1)
     stop = cfg.stop
     squared = isinstance(stop, SquaredStep)
     exact = isinstance(stop, ExactTermination)
-    if isinstance(stop, MseToReference) and stop.reference.shape != u.shape:
-        raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {u.shape}")
+    if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
+        raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
     full = cfg.trace_level == "full"
 
-    us = [u.copy()]
+    us = [u]
     zs = []
     lams = [lam]
     errors = []
@@ -284,16 +337,18 @@ def solve(f, feasible_set, u1, cfg):
     iterations = 0
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u_next, z, lam_next, fz, res, df, err_sq = _step(u, lam, f, project, n, cfg)
+        u_next, z, lam_next, fz, res, df, err_sq = step(u, lam, f, n, cfg)
         if squared:
             error = err_sq
             done = error < stop.tol
         elif exact:
-            fz_norm = math.sqrt(fz.dot(fz))
+            # np.dot takes the float step's F(z_n) as well as an array
+            fz_norm = math.sqrt(np.dot(fz, fz))
             error = min(res, fz_norm)
             done = res <= stop.tol_z or fz_norm <= stop.tol_z
         else:
-            # np.mean's reduction and division, without its dispatch
+            # np.mean's reduction and division, without its dispatch; a
+            # float iterate broadcasts against the (1,) reference
             d = u_next - stop.reference
             error = float(np.add.reduce(d * d)) / d.size
             done = error < stop.tol
@@ -315,17 +370,19 @@ def solve(f, feasible_set, u1, cfg):
 
     trace = None
     if full:
-        dim = u.shape[0]
+        # the loop runs at least once, so zs is never empty; np.array
+        # stacks float and array iterates alike
+        dim = start.shape[0]
         trace = SolveTrace(
-            u=np.concatenate(us).reshape(-1, dim),
-            z=np.concatenate(zs).reshape(-1, dim) if zs else np.zeros((0, dim)),
+            u=np.array(us).reshape(-1, dim),
+            z=np.array(zs).reshape(-1, dim),
             lam=np.asarray(lams),
             errors=np.asarray(errors),
             residuals=np.asarray(residuals),
             operator_diffs=np.asarray(operator_diffs),
         )
     return SolveResult(
-        final_point=final,
+        final_point=np.atleast_1d(final),
         iterations=iterations,
         status=status,
         wall_time=wall,

@@ -68,6 +68,39 @@ def test_config_file_errors(tmp_path):
         parse_config(["solve", "--config", str(path)])
 
 
+@pytest.mark.parametrize(
+    "values, field",
+    [
+        ({"max_iters": "5"}, "max_iters"),
+        ({"mu": "0.3"}, "mu"),
+        ({"lambda1": True}, "lambda1"),
+        ({"k": 2.5}, "k"),
+        ({"tol": [1e-6, "x"]}, "tol"),
+        ({"tol": []}, "tol"),
+        ({"plot": 1}, "plot"),
+        ({"out": 3}, "out"),
+        ({"problem": "quartic"}, "problem"),
+    ],
+)
+def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, values, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(values))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err
+    assert not (tmp_path / "solve.csv").exists()
+
+
+def test_config_file_accepts_json_numbers_lists_and_null(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"lambda1": 2, "tol": [1e-5, 1e-7], "ref": None, "plot": True}))
+    cfg = parse_config(["ratio", "--config", str(path)])
+    assert (cfg.lambda1, cfg.tol, cfg.ref, cfg.plot) == (2, (1e-5, 1e-7), None, True)
+    path.write_text(json.dumps({"mu": 1}))
+    with pytest.raises(ValueError, match="mu must lie in"):
+        parse_config(["solve", "--config", str(path)])
+
+
 def test_out_of_range_values_are_named():
     with pytest.raises(ValueError, match="mu"):
         parse_config(["solve", "--mu", "1.5"])
@@ -75,6 +108,8 @@ def test_out_of_range_values_are_named():
         parse_config(["solve", "--tol", "0"])
     with pytest.raises(ValueError, match="xi-exp"):
         parse_config(["solve", "--xi-exp", "0.9"])
+    with pytest.raises(ValueError, match="max-iters must be positive"):
+        parse_config(["solve", "--max-iters", "0"])
     for flag, name in (("--tol", "tol"), ("--lambda1", "lambda1"), ("--xi-scale", "xi-scale")):
         for bad in ("inf", "nan"):
             with pytest.raises(ValueError, match=f"{name} must be .* finite"):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import hull_lipschitz, scalar_config
 from qvi import (
@@ -16,6 +18,7 @@ from qvi import (
     LeastSquares,
     MseToReference,
     NumericError,
+    PiecewiseQuad,
     ProjectionContext,
     SinePlusOne,
     SolverConfig,
@@ -34,7 +37,6 @@ from qvi import (
     tseng_identity_error,
     tseng_step,
     update_stepsize,
-    xi,
 )
 from qvi.experiments import default_recovery_config
 
@@ -44,11 +46,9 @@ XI_DEFAULT = XiSequence(100.0, 1.1)
 # --- xi sequence ---------------------------------------------------------
 
 def test_xi_values_against_high_precision():
-    assert xi(1, XI_DEFAULT) == pytest.approx(46.651649576840371, abs=1e-12)
-    assert xi(9, XI_DEFAULT) == pytest.approx(7.9432823472428150, abs=1e-12)
-    assert xi(5, XiSequence(0.0, 1.1)) == 0.0
-    with pytest.raises(ValueError):
-        xi(0, XI_DEFAULT)
+    assert XI_DEFAULT.value(1) == pytest.approx(46.651649576840371, abs=1e-12)
+    assert XI_DEFAULT.value(9) == pytest.approx(7.9432823472428150, abs=1e-12)
+    assert XiSequence(0.0, 1.1).value(5) == 0.0
 
 
 def test_xi_sequence_validation():
@@ -61,21 +61,18 @@ def test_xi_sequence_validation():
             XiSequence(bad, 1.1)
 
 
-def test_xi_prefix_sums_and_total_bound():
+def test_xi_prefix_sums():
     seq = XiSequence(3.0, 1.5)
     sums = seq.prefix_sums(6)
     direct = np.concatenate([[0.0], np.cumsum([seq.value(n) for n in range(1, 6)])])
     np.testing.assert_allclose(sums, direct, rtol=1e-15)
-    # the total bound dominates any partial sum
-    big_partial = sum(seq.value(n) for n in range(1, 200_000))
-    assert seq.total(horizon=100) >= big_partial
 
 
 # --- step-size update ----------------------------------------------------
 
 def test_update_stepsize_first_iteration_example():
     lam2 = update_stepsize(
-        1.0, xi(1, XI_DEFAULT), [0.6], [0.36], [0.24], [0.2304], mu=0.3
+        1.0, XI_DEFAULT.value(1), [0.6], [0.36], [0.24], [0.2304], mu=0.3
     )
     assert lam2 == pytest.approx(7.5, abs=1e-12)
 
@@ -248,12 +245,18 @@ def test_max_iters_must_be_an_integer(bad):
 
 
 class _Counting:
+    """Operator wrapper that keeps every input it is called with."""
+
     def __init__(self, f):
         self.f = f
-        self.calls = 0
+        self.inputs = []
+
+    @property
+    def calls(self):
+        return len(self.inputs)
 
     def __call__(self, x):
-        self.calls += 1
+        self.inputs.append(x)
         return self.f(x)
 
 
@@ -271,11 +274,39 @@ def test_wrong_start_dimension_on_a_box_fails_before_any_operator_call():
     assert counting.calls == 0
 
 
+class _Misfit:
+    """F(x) = 2x - 1, except that evaluation number bad returns value."""
+
+    def __init__(self, bad, value):
+        self.bad = bad
+        self.value = value
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.value if self.calls == self.bad else 2.0 * x - 1.0
+
+
 def test_operator_value_that_does_not_fit_the_iterate_is_rejected():
+    # a 1-d Box runs the float step; the others run the array step
     cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    for feasible_set in (Box(-1.0, 1.0), HalfSpaceRelaxedL1Ball(1.0)):
-        with pytest.raises(ValueError, match="dimension mismatch: F"):
-            solve(lambda x: np.zeros(3), feasible_set, np.array([0.5]), cfg)
+    sets = (
+        (Box(-1.0, 1.0), 1),
+        (Box(np.full(2, -1.0), np.full(2, 1.0)), 2),
+        (HalfSpaceRelaxedL1Ball(1.0), 1),
+        (HalfSpaceRelaxedL1Ball(1.0), 2),
+    )
+    for feasible_set, dim in sets:
+        for value in (np.zeros(3), 0.25):
+            shape = np.shape(value)
+            for bad, what in ((1, "F(u_n) {}, u_n"), (2, "F(z_n) {}, z_n")):
+                with pytest.raises(ValueError) as err:
+                    solve(_Misfit(bad, value), feasible_set, np.full(dim, 0.5), cfg)
+                expected = f"dimension mismatch: {what.format(shape)} ({dim},)"
+                assert str(err.value) == expected
+    with pytest.raises(ValueError) as err:
+        tseng_step(np.array([0.5]), 1.0, _Misfit(2, np.zeros(3)), Box(-1.0, 1.0), 1, cfg)
+    assert str(err.value) == "dimension mismatch: F(z_n) (3,), z_n (1,)"
 
 
 def test_reference_shape_must_match_start():
@@ -324,10 +355,16 @@ class _Scripted:
 
 GUARD_SETS = {
     "box": Box(np.full(2, -np.inf), np.full(2, np.inf)),
+    # a start of shape (1,) in a Box runs the float step
+    "box_1d": Box(-np.inf, np.inf),
     # the relaxed projection raises RuntimeError on NaN input at a zero
     # anchor, so the F(u_n) check must run before it
     "relaxed_l1": HalfSpaceRelaxedL1Ball(1.0),
 }
+
+
+def _guard_start(where):
+    return np.zeros(getattr(GUARD_SETS[where], "dim", 2))
 
 
 @pytest.mark.parametrize("where", sorted(GUARD_SETS))
@@ -343,7 +380,7 @@ GUARD_SETS = {
 def test_non_finite_operator_values_name_the_failure(where, call, value, what, iteration):
     cfg = scalar_config(mu=0.3, col_tol=1e-6)
     with pytest.raises(NumericError) as err:
-        solve(_Scripted({call: value}), GUARD_SETS[where], np.zeros(2), cfg)
+        solve(_Scripted({call: value}), GUARD_SETS[where], _guard_start(where), cfg)
     assert str(err.value) == f"non-finite {what} at iteration {iteration}"
     assert err.value.iteration == iteration
 
@@ -355,7 +392,7 @@ def test_overflowing_iterate_is_named(where):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError) as err:
-            solve(_Scripted({}), GUARD_SETS[where], np.zeros(2), cfg)
+            solve(_Scripted({}), GUARD_SETS[where], _guard_start(where), cfg)
     assert str(err.value) == "non-finite iterate u_{n+1} at iteration 1"
     assert err.value.iteration == 1
 
@@ -382,23 +419,27 @@ def test_overflowing_step_norm_with_finite_iterates_runs_on():
     # a constant F moves every iterate by lam F; the squared step overflows
     # while every array stays finite, which is no numeric failure
     cfg = SolverConfig(lambda1=1e200, stop=SquaredStep(1e-12), max_iters=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = solve(lambda x: np.full(2, -1.0), GUARD_SETS["box"], np.zeros(2), cfg)
-    assert result.status == "max_iters"
-    assert np.all(np.isfinite(result.trace.u))
-    assert np.all(result.trace.errors == np.inf)
+    for where in ("box", "box_1d"):
+        start = _guard_start(where)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve(lambda x: np.full(x.shape, -1.0), GUARD_SETS[where], start, cfg)
+        assert result.status == "max_iters"
+        assert np.all(np.isfinite(result.trace.u))
+        assert np.all(result.trace.errors == np.inf)
 
 
 # --- the loop against a reference step ------------------------------------
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reference_solve(f, feasible_set, u1, cfg):
     """The iteration step by step through the public projection.
 
     Each step builds a ProjectionContext and calls project(), and the
-    correction, norms, squared step and MSE use np.linalg.norm, np.mean and
-    np.stack. Returns the trace arrays, the final point, the status and the
-    halfspace branches the relaxed projections took.
+    correction, norms, squared step, exact-termination test and MSE use
+    np.linalg.norm, np.mean and np.stack. Returns the trace arrays, the
+    final point, the status and the halfspace branches the relaxed
+    projections took.
     """
     u = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
     lam = float(cfg.lambda1)
@@ -422,9 +463,14 @@ def _reference_solve(f, feasible_set, u1, cfg):
         df = float(np.linalg.norm(fu - fz))
         xi_n = cfg.xi_params.value(n)
         lam_next = lam + xi_n if df == 0.0 else min(cfg.mu * res / df, lam + xi_n)
+        exact = isinstance(stop, ExactTermination)
         if isinstance(stop, SquaredStep):
             error = float(((u_next - u) ** 2).sum())
             done = error < stop.tol
+        elif exact:
+            fz_norm = float(np.linalg.norm(fz))
+            error = min(res, fz_norm)
+            done = res <= stop.tol_z or fz_norm <= stop.tol_z
         else:
             error = float(np.mean((u_next - stop.reference) ** 2))
             done = error < stop.tol
@@ -435,7 +481,7 @@ def _reference_solve(f, feasible_set, u1, cfg):
         residuals.append(res)
         diffs.append(df)
         if done:
-            status, final = "converged", u_next
+            status, final = ("terminated_exact", z) if exact else ("converged", u_next)
             break
         u, lam = u_next, lam_next
         final = u
@@ -465,6 +511,81 @@ def test_solve_equals_reference_step_on_table_starts(problem, mu, u1):
     f, feasible_set = problem()
     cfg = scalar_config(mu=mu, col_tol=1e-8)
     _assert_same_run(solve(f, feasible_set, u1, cfg), _reference_solve(f, feasible_set, u1, cfg))
+
+
+@pytest.mark.parametrize("problem", [cubic_problem, sine_problem, piecewise_problem])
+@pytest.mark.parametrize(
+    "stop",
+    [SquaredStep(1e-16), ExactTermination(1e-7), MseToReference(np.zeros(1), 1e-10)],
+    ids=["squared", "exact", "mse"],
+)
+def test_solve_equals_reference_step_under_every_stopping_rule(problem, stop):
+    f, feasible_set = problem()
+    cfg = SolverConfig(lambda1=1.0, mu=0.3, xi_params=XI_DEFAULT, stop=stop, max_iters=300)
+    for u1 in (0.6, -0.7, 2.0, -3.0, 0.015, 5.0, -0.0):
+        reference = _reference_solve(f, feasible_set, u1, cfg)
+        _assert_same_run(solve(f, feasible_set, u1, cfg), reference)
+
+
+def test_float_step_clamps_a_zero_to_the_bound_like_np_maximum():
+    # from u1 = -0.0, w = u1 - lam F(u1) is -0.0 and ties a zero bound;
+    # np.maximum and np.minimum return the bound 0.0 there
+    f = PiecewiseQuad()
+    cfg = scalar_config(mu=0.3, col_tol=1e-6)
+    for box in (Box(0.0, 1.0), Box(-1.0, 0.0)):
+        result = solve(f, box, -0.0, cfg)
+        reference = _reference_solve(f, box, -0.0, cfg)
+        _assert_same_run(result, reference)
+        arrays, final = reference[:2]
+        assert not np.signbit(arrays[1][0, 0])
+        assert np.array_equal(np.signbit(result.trace.z), np.signbit(arrays[1]))
+        assert np.array_equal(np.signbit(result.trace.u), np.signbit(arrays[0]))
+        assert np.array_equal(np.signbit(result.final_point), np.signbit(final))
+
+
+@pytest.mark.parametrize("trace_level", ["full", "final"])
+def test_float_step_calls_the_operator_twice_per_iteration_on_new_arrays(trace_level):
+    f, box = cubic_problem()
+    counting = _Counting(f)
+    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6), trace_level=trace_level)
+    result = solve(counting, box, 0.6, cfg)
+    n = result.iterations
+    inputs = counting.inputs
+    assert n > 10 and len(inputs) == 2 * n
+    # the recorded arrays are all alive, so distinct ids mean distinct arrays
+    assert len({id(x) for x in inputs}) == 2 * n
+    assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (1,) for x in inputs)
+    assert all(x is not result.final_point for x in inputs)
+    assert type(result.final_point) is np.ndarray
+    assert result.final_point.dtype == np.float64 and result.final_point.shape == (1,)
+    if trace_level == "final":
+        assert result.trace is None
+        return
+    trace = result.trace
+    assert trace.u.shape == (n + 1, 1) and trace.z.shape == (n, 1)
+    assert trace.lam.shape == (n + 1,)
+    for values in (trace.errors, trace.residuals, trace.operator_diffs):
+        assert values.shape == (n,) and values.dtype == np.float64
+    # F saw u_n, then z_n
+    assert np.array_equal(np.concatenate(inputs[0::2]), trace.u[:n, 0])
+    assert np.array_equal(np.concatenate(inputs[1::2]), trace.z[:, 0])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    u1=st.floats(-1e6, 1e6),
+    mu=st.floats(0.01, 0.99),
+    lambda1=st.floats(1e-3, 1e3),
+    xi_scale=st.floats(0.0, 1e3),
+)
+def test_solve_equals_reference_step_on_drawn_parameters(u1, mu, lambda1, xi_scale):
+    cfg = SolverConfig(
+        lambda1=lambda1, mu=mu, xi_params=XiSequence(xi_scale, 1.1),
+        stop=SquaredStep(1e-16), max_iters=200,
+    )
+    for problem in (cubic_problem, sine_problem, piecewise_problem):
+        f, feasible_set = problem()
+        _assert_same_run(solve(f, feasible_set, u1, cfg), _reference_solve(f, feasible_set, u1, cfg))
 
 
 def test_solve_equals_reference_step_on_relaxed_l1_recovery():

@@ -1,9 +1,12 @@
 """Command-line front end: experiment dispatch, CSV and SVG emission.
 
-Commands: solve, table1, table2, recovery, rates, ratio, certify. Shared
-flags control the solver parameters; a flat JSON config file may supply any
-of them, with explicit flags taking precedence. The environment variable
-QVI_SEED provides the seed when no flag or file value is given.
+Commands: solve, table1, table2, recovery, rates, ratio, certify. The fields
+of RunConfig are the one place where an option is defined: each states its
+default, its per-command defaults, its flag and the commands that take it,
+and the parser, the defaults and the config-file type check are read from
+them. A flat JSON config file may supply any field, with explicit flags
+taking precedence. The environment variable QVI_SEED provides the seed when
+no flag or file value is given.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure.
 """
@@ -11,10 +14,11 @@ Exit codes: 0 success, 2 input error, 3 numeric failure.
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,59 +34,47 @@ from .solver import (
 
 COMMANDS = ("solve", "table1", "table2", "recovery", "rates", "ratio", "certify")
 
-_COMMON_DEFAULTS = dict(
-    lambda1=1.0,
-    mu=0.3,
-    xi_scale=100.0,
-    xi_exp=1.1,
-    tol=(1e-6,),
-    max_iters=500,
-    out=".",
-    plot=False,
-    problem="cubic",
-    u1=0.6,
-    ref=None,
-    m=256,
-    n=512,
-    k=20,
-    random_rows=0,
-    tail_window=20,
-)
-
-_COMMAND_DEFAULTS = {
-    "table1": dict(problem="cubic", tol=(1e-6, 1e-8)),
-    "table2": dict(problem="sine", mu=0.5, tol=(1e-6, 1e-8)),
-    "recovery": dict(lambda1=0.1, max_iters=2000),
-    "ratio": dict(problem="piecewise", max_iters=2000),
-    "rates": dict(problem="cubic"),
-}
-
 _TABLE_POINTS = {
     "table1": (0.6, 0.9, 2.0, 3.0, -3.0),
     "table2": (2.0, 0.1, -0.5, 4.0, -2.0),
 }
 
 
+def _option(default, commands=COMMANDS, *, flag=None, help=None, choices=None, **per_command):
+    """A RunConfig field taken as a flag by `commands`; keywords named after a
+    command give that command's default. The flag defaults to --field-name."""
+    meta = dict(commands=commands, flag=flag, help=help, choices=choices, per_command=per_command)
+    return field(default=default, metadata=meta)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    lambda1: float
-    mu: float
-    xi_scale: float
-    xi_exp: float
-    tol: tuple
-    max_iters: int
-    seed: int
-    out: str
-    plot: bool
-    problem: str
-    u1: float
-    ref: float | None
-    m: int
-    n: int
-    k: int
-    random_rows: int
-    tail_window: int
+    lambda1: float = _option(1.0, recovery=0.1)
+    mu: float = _option(0.3, table2=0.5)
+    xi_scale: float = _option(100.0)
+    xi_exp: float = _option(1.1)
+    tol: tuple = _option(
+        (1e-6,), help="stopping tolerance; repeat for several columns",
+        table1=(1e-6, 1e-8), table2=(1e-6, 1e-8),
+    )
+    max_iters: int = _option(500, recovery=2000, ratio=2000)
+    seed: int = _option(0)
+    out: str = _option(".", help="output directory")
+    plot: bool = _option(False)
+    problem: str = _option(
+        "cubic", ("solve", "rates", "ratio"), choices=sorted(experiments.PROBLEMS),
+        table2="sine", ratio="piecewise",
+    )
+    u1: float = _option(0.6, ("solve", "rates", "ratio"))
+    ref: float | None = _option(None, ("ratio",))
+    m: int = _option(256, ("recovery",), flag="--M")
+    n: int = _option(512, ("recovery",), flag="--N")
+    k: int = _option(20, ("recovery",), flag="--K")
+    random_rows: int = _option(
+        0, ("table1", "table2"), help="append this many uniform(0,1) initial points"
+    )
+    tail_window: int = _option(20, ("rates",))
 
     def xi_params(self):
         return XiSequence(self.xi_scale, self.xi_exp)
@@ -98,6 +90,10 @@ class RunConfig:
         )
 
 
+#: the RunConfig fields that are options, in flag order
+_OPTIONS = [f for f in fields(RunConfig) if f.metadata]
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="qvi",
@@ -107,48 +103,29 @@ def _build_parser():
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat JSON file of flag values")
-        p.add_argument("--lambda1", type=float, default=None)
-        p.add_argument("--mu", type=float, default=None)
-        p.add_argument("--xi-scale", dest="xi_scale", type=float, default=None)
-        p.add_argument("--xi-exp", dest="xi_exp", type=float, default=None)
-        p.add_argument(
-            "--tol", action="append", type=float, default=None,
-            help="stopping tolerance; repeat for several columns",
-        )
-        p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--plot", action="store_true", default=None)
-        if name in ("solve", "rates", "ratio"):
-            p.add_argument("--problem", choices=sorted(experiments.PROBLEMS), default=None)
-            p.add_argument("--u1", type=float, default=None)
-        if name == "ratio":
-            p.add_argument("--ref", type=float, default=None)
-        if name == "rates":
-            p.add_argument("--tail-window", dest="tail_window", type=int, default=None)
-        if name in ("table1", "table2"):
-            p.add_argument(
-                "--random-rows", dest="random_rows", type=int, default=None,
-                help="append this many uniform(0,1) initial points",
-            )
-        if name == "recovery":
-            p.add_argument("--M", dest="m", type=int, default=None)
-            p.add_argument("--N", dest="n", type=int, default=None)
-            p.add_argument("--K", dest="k", type=int, default=None)
+        for opt in _OPTIONS:
+            meta = opt.metadata
+            if name not in meta["commands"]:
+                continue
+            kwargs = dict(dest=opt.name, default=None, help=meta["help"])
+            if opt.type is bool:
+                kwargs["action"] = "store_true"
+            elif opt.type is tuple:
+                kwargs.update(action="append", type=float)
+            else:
+                kwargs.update(type=float if opt.type == float | None else opt.type, choices=meta["choices"])
+            p.add_argument(meta["flag"] or "--" + opt.name.replace("_", "-"), **kwargs)
     return parser
 
 
-_NUMBER = ((int, float), "a number")
-_INTEGER = ((int,), "an integer")
-_STRING = ((str,), "a string")
-#: JSON types a config-file value may take, by key; tol may also be a list
-_FILE_TYPES = {
-    **dict.fromkeys(("lambda1", "mu", "xi_scale", "xi_exp", "u1"), _NUMBER),
-    **dict.fromkeys(("max_iters", "seed", "m", "n", "k", "random_rows", "tail_window"), _INTEGER),
-    **dict.fromkeys(("out", "problem", "command"), _STRING),
-    "tol": ((int, float), "a number or a nonempty list of numbers"),
-    "ref": ((int, float, type(None)), "a number or null"),
-    "plot": ((bool,), "true or false"),
+#: JSON types a config-file value may take, by field annotation; tol may also be a list
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    bool: ((bool,), "true or false"),
+    tuple: ((int, float), "a number or a nonempty list of numbers"),
+    float | None: ((int, float, type(None)), "a number or null"),
 }
 
 
@@ -167,12 +144,13 @@ def _load_config_file(path):
         raise ValueError(f"malformed config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a flat JSON object")
+    annotations = {f.name: f.type for f in fields(RunConfig)}
     for key, value in data.items():
-        if key not in _FILE_TYPES:
+        if key not in annotations:
             raise ValueError(f"config file {path}: unknown key {key!r}")
-        types, expected = _FILE_TYPES[key]
-        items = value if key == "tol" and isinstance(value, list) and value else [value]
-        if not all(_has_type(item, types) for item in items):
+        types, expected = _JSON_TYPES[annotations[key]]
+        listed = annotations[key] is tuple and isinstance(value, list) and value
+        if not all(_has_type(item, types) for item in (value if listed else [value])):
             raise ValueError(f"config file {path}: {key} must be {expected}, got {value!r}")
     return data
 
@@ -187,8 +165,8 @@ def _validate(cfg):
         for tol in cfg.tol:
             cfg.solver_config(SquaredStep(tol))
     except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{_FLAG_NAMES.get(field, field)} {rest}") from exc
+        field_name, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_FLAG_NAMES.get(field_name, field_name)} {rest}") from exc
     if cfg.problem not in experiments.PROBLEMS:
         raise ValueError(f"unknown problem {cfg.problem!r}; choose from {sorted(experiments.PROBLEMS)}")
     if cfg.k < 0 or cfg.k > cfg.n:
@@ -199,31 +177,28 @@ def _validate(cfg):
         raise ValueError("random-rows must be nonnegative")
     if cfg.tail_window < 3:
         raise ValueError("tail-window must be at least 3")
+    if cfg.seed < 0:
+        raise ValueError("seed must be nonnegative")
+    if cfg.ref is not None and not math.isfinite(cfg.ref):
+        raise ValueError("ref must be finite")
 
 
 def parse_config(argv):
     """Resolve a RunConfig from argv, a config file, and built-in defaults."""
     args = _build_parser().parse_args(argv)
     command = args.command
-    merged = dict(_COMMON_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS.get(command, {}))
-    merged["seed"] = None
-    if args.config is not None:
-        file_values = _load_config_file(args.config)
-        file_values.pop("command", None)
-        merged.update(file_values)
-    for key in list(merged):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    if merged["seed"] is None:
-        env = os.environ.get("QVI_SEED")
+    merged = {f.name: f.metadata["per_command"].get(command, f.default) for f in _OPTIONS}
+    given = _load_config_file(args.config) if args.config is not None else {}
+    given.pop("command", None)
+    given.update((key, value) for key, value in vars(args).items() if key in merged and value is not None)
+    env = os.environ.get("QVI_SEED")
+    if "seed" not in given and env:
         try:
-            merged["seed"] = int(env) if env else 0
+            given["seed"] = int(env)
         except ValueError as exc:
             raise ValueError(f"QVI_SEED must be an integer, got {env!r}") from exc
+    merged.update(given)
     merged["tol"] = tuple(float(t) for t in np.atleast_1d(merged["tol"]))
-    merged["plot"] = bool(merged["plot"])
     cfg = RunConfig(command=command, **merged)
     _validate(cfg)
     return cfg
@@ -231,10 +206,8 @@ def parse_config(argv):
 
 def write_config(cfg, path):
     """Serialize a RunConfig as a flat JSON document (the --config format)."""
-    data = asdict(cfg)
-    data["tol"] = list(data["tol"])
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -263,7 +236,6 @@ def emit_csv(rows, schema, path):
 
 
 def _outpath(cfg, name):
-    os.makedirs(cfg.out, exist_ok=True)
     return os.path.join(cfg.out, name)
 
 
@@ -284,11 +256,15 @@ def _scalar_trace_rows(result):
     return rows
 
 
-def _cmd_solve(cfg):
+def _run_scalar(cfg):
     f, feasible = experiments.PROBLEMS[cfg.problem]()
     tol = cfg.tol[0]
     solver_cfg = cfg.solver_config(SquaredStep(tol * tol))
-    result = solve(f, feasible, cfg.u1, solver_cfg)
+    return f, solve(f, feasible, cfg.u1, solver_cfg)
+
+
+def _cmd_solve(cfg):
+    _, result = _run_scalar(cfg)
     path = _outpath(cfg, "solve.csv")
     emit_csv(
         _scalar_trace_rows(result),
@@ -380,13 +356,6 @@ def _cmd_recovery(cfg):
     return 0
 
 
-def _run_scalar(cfg):
-    f, feasible = experiments.PROBLEMS[cfg.problem]()
-    tol = cfg.tol[0]
-    solver_cfg = cfg.solver_config(SquaredStep(tol * tol))
-    return f, solve(f, feasible, cfg.u1, solver_cfg)
-
-
 def _cmd_rates(cfg):
     f, result = _run_scalar(cfg)
     limit = f.nearest_solution(result.final_point)
@@ -470,6 +439,10 @@ _DISPATCH = {
 def main(argv=None):
     try:
         cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"--out {cfg.out}: cannot create the output directory: {exc}") from exc
         return _DISPATCH[cfg.command](cfg)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -159,11 +159,3 @@ def project(feasible_set, x, ctx=None):
             raise ValueError("relaxed l1 projection requires a ProjectionContext")
         return project_relaxed_l1(x, ctx, feasible_set.radius)
     raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
-
-
-def box_membership(box, x, tol=0.0):
-    """True iff lo[i] - tol <= x[i] <= hi[i] + tol for all i."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    x = _box_vector(box, x)
-    return bool(np.all(x >= box.lo - tol) and np.all(x <= box.hi + tol))

@@ -165,14 +165,6 @@ def _next_step(lam, xi_n, res, df, mu):
     return min(mu * res / df, lam + xi_n)
 
 
-def update_stepsize(lam, xi_n, u, z, fu, fz, mu):
-    """Step-size update: min(mu ||u-z|| / ||F(u)-F(z)||, lam + xi_n)."""
-    u = np.asarray(u, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    df = float(np.linalg.norm(np.asarray(fu, dtype=np.float64) - np.asarray(fz, dtype=np.float64)))
-    return _next_step(lam, xi_n, float(np.linalg.norm(u - z)), df, mu)
-
-
 def _non_finite(what, n):
     return NumericError(f"non-finite {what} at iteration {n}", iteration=n)
 

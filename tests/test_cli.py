@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -26,6 +27,12 @@ def test_defaults_per_command():
     assert cfg.lambda1 == 0.1 and cfg.max_iters == 2000
     cfg = parse_config(["solve"])
     assert cfg.lambda1 == 1.0 and cfg.mu == 0.3 and cfg.tol == (1e-6,)
+    cfg = parse_config(["ratio"])
+    assert cfg.problem == "piecewise" and cfg.max_iters == 2000 and cfg.ref is None
+    cfg = parse_config(["rates"])
+    assert cfg.problem == "cubic" and cfg.max_iters == 500 and cfg.tail_window == 20
+    cfg = parse_config(["certify"])
+    assert cfg.lambda1 == 1.0 and cfg.tol == (1e-6,) and cfg.seed == 0
 
 
 def test_repeated_tol_flag_builds_columns():
@@ -38,12 +45,54 @@ def test_recovery_case_flags():
     assert (cfg.m, cfg.n, cfg.k, cfg.seed) == (512, 1024, 60, 3)
 
 
+_COMMON_FLAGS = [
+    "-h", "--config", "--lambda1", "--mu", "--xi-scale", "--xi-exp", "--tol",
+    "--max-iters", "--seed", "--out", "--plot",
+]
+#: the flags each command takes, in the order its --help lists them
+_FLAGS = {
+    "solve": _COMMON_FLAGS + ["--problem", "--u1"],
+    "table1": _COMMON_FLAGS + ["--random-rows"],
+    "table2": _COMMON_FLAGS + ["--random-rows"],
+    "recovery": _COMMON_FLAGS + ["--M", "--N", "--K"],
+    "rates": _COMMON_FLAGS + ["--problem", "--u1", "--tail-window"],
+    "ratio": _COMMON_FLAGS + ["--problem", "--u1", "--ref"],
+    "certify": _COMMON_FLAGS,
+}
+#: a value for each flag that differs from every command's default
+_NON_DEFAULT = {
+    "--lambda1": ["0.5"], "--mu": ["0.4"], "--xi-scale": ["50"], "--xi-exp": ["1.5"],
+    "--tol": ["1e-5", "--tol", "1e-7"], "--max-iters": ["123"], "--seed": ["7"],
+    "--out": ["results"], "--plot": [], "--problem": ["sine"], "--u1": ["1.5"],
+    "--ref": ["0.25"], "--M": ["16"], "--N": ["32"], "--K": ["3"],
+    "--random-rows": ["3"], "--tail-window": ["9"],
+}
+
+
+def test_help_lists_each_commands_flags(capsys):
+    for command, flags in _FLAGS.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = capsys.readouterr().out
+        assert re.findall(r"^  (-[-\w]+)", help_text, re.MULTILINE) == flags, command
+
+
 def test_config_round_trip(tmp_path):
     cfg = parse_config(["table1"])
     path = tmp_path / "run.json"
     write_config(cfg, path)
     again = parse_config(["table1", "--config", str(path)])
     assert again == cfg
+    for command, flags in _FLAGS.items():
+        argv = [command]
+        for flag in flags[2:]:
+            argv += [flag] + _NON_DEFAULT[flag]
+        cfg = parse_config(argv)
+        default = parse_config([command])
+        changed = [k for k, v in vars(cfg).items() if getattr(default, k) != v]
+        assert len(changed) == len(flags) - 2, command
+        write_config(cfg, path)
+        assert parse_config([command, "--config", str(path)]) == cfg, command
 
 
 def test_flags_override_config_file(tmp_path):
@@ -114,6 +163,12 @@ def test_out_of_range_values_are_named():
         for bad in ("inf", "nan"):
             with pytest.raises(ValueError, match=f"{name} must be .* finite"):
                 parse_config(["table1", flag, bad])
+    for bad in ("inf", "-inf", "nan"):
+        with pytest.raises(ValueError, match="ref must be finite"):
+            parse_config(["ratio", f"--ref={bad}"])
+    for command in _FLAGS:
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            parse_config([command, "--seed", "-1"])
 
 
 def test_seed_env_fallback(monkeypatch):
@@ -125,6 +180,38 @@ def test_seed_env_fallback(monkeypatch):
         parse_config(["recovery"])
     monkeypatch.delenv("QVI_SEED")
     assert parse_config(["recovery"]).seed == 0
+
+
+@pytest.mark.parametrize(
+    "argv, values, env, message",
+    [
+        (["ratio"], {"ref": 1e400}, None, "ref must be finite"),  # JSON reads 1e400 as inf
+        (["table1", "--random-rows", "2"], {"seed": -1}, None, "seed must be nonnegative"),
+        (["recovery", "--M", "8", "--N", "16", "--K", "2"], {}, "-4", "seed must be nonnegative"),
+        (["solve"], {}, "-4", "seed must be nonnegative"),
+    ],
+    ids=["file-ref", "file-seed", "env-seed-recovery", "env-seed-solve"],
+)
+def test_file_and_env_values_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, values, env, message):
+    if env is None:
+        monkeypatch.delenv("QVI_SEED", raising=False)
+    else:
+        monkeypatch.setenv("QVI_SEED", env)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(values))
+    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+
+def test_out_that_is_not_a_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("qvi.cli.solve", lambda *args: pytest.fail("solve ran"))
+    target = tmp_path / "taken"
+    target.write_text("")
+    assert main(["solve", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --out") and str(target) in err
+    assert target.read_text() == ""
 
 
 # --- CSV ---------------------------------------------------------------------

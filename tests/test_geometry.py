@@ -7,7 +7,6 @@ from qvi import (
     Box,
     HalfSpaceRelaxedL1Ball,
     ProjectionContext,
-    box_membership,
     project,
     project_box,
     project_relaxed_l1,
@@ -108,14 +107,6 @@ def test_project_dispatch():
 def test_project_relaxed_requires_context():
     with pytest.raises(ValueError):
         project(HalfSpaceRelaxedL1Ball(1.0), [2.0, 0.0])
-
-
-def test_box_membership_examples():
-    assert box_membership(Box(-1.0, 1.0), [1.0], tol=0.0)
-    assert not box_membership(Box(-1.0, 1.0), [1.001], tol=1e-6)
-    assert box_membership(Box(0.0, np.inf), [-1e-12], tol=1e-9)
-    with pytest.raises(ValueError):
-        box_membership(Box(-1.0, 1.0), [0.0], tol=-1.0)
 
 
 def _box_instances():

@@ -36,9 +36,9 @@ from qvi import (
     step_rule_slack,
     tseng_identity_error,
     tseng_step,
-    update_stepsize,
 )
 from qvi.experiments import default_recovery_config
+from qvi.solver import _next_step
 
 XI_DEFAULT = XiSequence(100.0, 1.1)
 
@@ -70,17 +70,17 @@ def test_xi_prefix_sums():
 
 # --- step-size update ----------------------------------------------------
 
-def test_update_stepsize_first_iteration_example():
-    lam2 = update_stepsize(
-        1.0, XI_DEFAULT.value(1), [0.6], [0.36], [0.24], [0.2304], mu=0.3
-    )
+def test_next_step_first_iteration_example():
+    # u = 0.6, z = 0.36, F(u) = 0.24, F(z) = 0.2304: res = 0.24, df = 0.0096
+    lam2 = _next_step(1.0, XI_DEFAULT.value(1), 0.24, 0.0096, 0.3)
     assert lam2 == pytest.approx(7.5, abs=1e-12)
 
 
-def test_update_stepsize_equal_operator_values():
-    assert update_stepsize(1.0, 0.25, [1.0], [0.5], [2.0], [2.0], mu=0.3) == 1.25
-    # both operator values vanish at fixed points
-    assert update_stepsize(0.15, 0.5, [2.0], [-1.0], [0.0], [0.0], mu=0.3) == 0.65
+def test_next_step_equal_operator_values():
+    # u = 1, z = 0.5 and F(u) = F(z) = 2: res = 0.5, df = 0
+    assert _next_step(1.0, 0.25, 0.5, 0.0, 0.3) == 1.25
+    # both operator values vanish at fixed points: u = 2, z = -1, res = 3
+    assert _next_step(0.15, 0.5, 3.0, 0.0, 0.3) == 0.65
 
 
 # --- single step ---------------------------------------------------------

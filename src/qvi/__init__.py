@@ -39,8 +39,6 @@ from .geometry import (
     HalfSpaceRelaxedL1Ball,
     ProjectionContext,
     project,
-    project_box,
-    project_relaxed_l1,
 )
 from .operators import (
     CubicQuasi,
@@ -63,7 +61,6 @@ from .solver import (
     SquaredStep,
     XiSequence,
     solve,
-    tseng_step,
 )
 
 __version__ = "0.1.0"
@@ -105,8 +102,6 @@ __all__ = [
     "piecewise_problem",
     "power_iteration_gram_norm",
     "project",
-    "project_box",
-    "project_relaxed_l1",
     "ratio_series",
     "realized_lipschitz",
     "run_example_table",
@@ -116,6 +111,5 @@ __all__ = [
     "step_bound_violation",
     "step_rule_slack",
     "tseng_identity_error",
-    "tseng_step",
     "verify_disjointness",
 ]

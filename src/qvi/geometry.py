@@ -3,20 +3,29 @@
 Two set variants are supported: axis-aligned boxes (closed-form clamping,
 possibly unbounded on either side) and the l1 ball handled through its
 supporting-halfspace relaxation built from a subgradient of
-``c(u) = ||u||_1 - omega`` at an anchor point. Projections satisfy the
-standard obtuse-angle and nonexpansiveness identities, which the test suite
-checks by sampling.
+``c(u) = ||u||_1 - omega`` at an anchor point. ``projector`` alone picks a
+set's projection; ``solve`` and ``project`` both run the closure it returns.
+Projections satisfy the standard obtuse-angle and nonexpansiveness
+identities, which the test suite checks by sampling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 
 def _as_vector(x, name="x"):
-    v = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """A float64 copy of x, which must be a scalar or a vector."""
+    v = np.array(x, dtype=np.float64, ndmin=1)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a vector, got shape {v.shape}")
+    return v
+
+
+def _frozen_vector(x, name):
+    """A read-only _as_vector(x): later writes to x cannot reach it."""
+    v = _as_vector(x, name)
+    v.flags.writeable = False
     return v
 
 
@@ -28,8 +37,8 @@ class Box:
     hi: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.lo, "lo")
-        hi = _as_vector(self.hi, "hi")
+        lo = _frozen_vector(self.lo, "lo")
+        hi = _frozen_vector(self.hi, "hi")
         if lo.shape != hi.shape:
             raise ValueError(f"bound shapes differ: {lo.shape} vs {hi.shape}")
         # lo = +inf or hi = -inf leaves no real point in the box
@@ -72,21 +81,14 @@ class HalfSpaceRelaxedL1Ball:
 FeasibleSet = Box | HalfSpaceRelaxedL1Ball
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ProjectionContext:
-    """Anchor point and cached subgradient tau = sign(anchor) componentwise."""
+    """Anchor point the relaxed l1 halfspace is built at; tau = sign(anchor)."""
 
     anchor: np.ndarray
-    tau: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.anchor = _as_vector(self.anchor, "anchor")
-        if self.tau is None:
-            self.tau = np.sign(self.anchor)
-        else:
-            self.tau = _as_vector(self.tau, "tau")
-            if not np.array_equal(self.tau, np.sign(self.anchor)):
-                raise ValueError("tau must equal sign(anchor) componentwise")
+        object.__setattr__(self, "anchor", _frozen_vector(self.anchor, "anchor"))
 
 
 def box_clamp(x, lo, hi):
@@ -94,8 +96,14 @@ def box_clamp(x, lo, hi):
     return np.minimum(np.maximum(x, lo), hi)
 
 
-def relaxed_l1_step(x, anchor, tau, omega):
-    """Relaxed l1 projection of x at anchor, with tau = sign(anchor) given."""
+def relaxed_l1_step(x, anchor, omega):
+    """Project x onto the halfspace {v : c(anchor) <= <tau, anchor - v>}.
+
+    c(u) = ||u||_1 - omega and tau = sign(anchor). Points already in the
+    halfspace pass through unchanged; otherwise x moves along tau by
+    (<tau, anchor - x> - c) / ||tau||^2.
+    """
+    tau = np.sign(anchor)
     c = np.abs(anchor).sum() - omega
     s = tau @ (anchor - x)
     if c <= s:
@@ -108,54 +116,35 @@ def relaxed_l1_step(x, anchor, tau, omega):
     return x + ((s - c) / nsq) * tau
 
 
-def _box_vector(box, x):
-    x = _as_vector(x)
-    if x.shape != box.lo.shape:
-        raise ValueError(f"dimension mismatch: x {x.shape}, box dim {box.dim}")
-    return x
+def projector(feasible_set, x, anchor):
+    """Check x against feasible_set once and return its projection project(u, w).
 
-
-def project_box(x, lo, hi):
-    """Clamp x into [lo, hi] componentwise (the metric projection)."""
-    x = _as_vector(x)
-    lo = _as_vector(lo, "lo")
-    hi = _as_vector(hi, "hi")
-    if x.shape != lo.shape or x.shape != hi.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, lo {lo.shape}, hi {hi.shape}"
-        )
-    return box_clamp(x, lo, hi)
-
-
-def project_relaxed_l1(x, ctx, omega):
-    """Project x onto the halfspace {v : c(anchor) <= <tau, anchor - v>}.
-
-    c(u) = ||u||_1 - omega and tau = sign(anchor). Points already in the
-    halfspace pass through unchanged; otherwise x moves along tau by
-    (<tau, anchor - x> - c) / ||tau||^2.
+    project(u, w) projects a point w shaped like x. A Box ignores u; the
+    relaxed l1 ball builds its halfspace at the anchor u, so it needs a first
+    anchor, shaped like x.
     """
-    x = _as_vector(x)
-    if x.shape != ctx.anchor.shape:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, anchor {ctx.anchor.shape}"
-        )
-    if omega < 0:
-        raise ValueError("omega must be nonnegative")
-    return relaxed_l1_step(x, ctx.anchor, ctx.tau, float(omega))
+    if isinstance(feasible_set, Box):
+        if x.shape != feasible_set.lo.shape:
+            raise ValueError(f"dimension mismatch: x {x.shape}, box dim {feasible_set.dim}")
+        lo, hi = feasible_set.lo, feasible_set.hi
+        return lambda u, w: box_clamp(w, lo, hi)
+    if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
+        if anchor is None:
+            raise ValueError("relaxed l1 projection requires a ProjectionContext")
+        if x.shape != anchor.shape:
+            raise ValueError(f"dimension mismatch: x {x.shape}, anchor {anchor.shape}")
+        omega = feasible_set.radius
+        return lambda u, w: relaxed_l1_step(w, u, omega)
+    raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
 
 
 def project(feasible_set, x, ctx=None):
     """Metric projection onto a Box, or relaxed projection for the l1 ball.
 
     The relaxed variant needs a ProjectionContext carrying the anchor point
-    the halfspace is built at; a Box ignores ctx.
+    the halfspace is built at; a Box ignores ctx. This is the projection
+    ``solve`` runs, resolved for the one point x.
     """
-    if isinstance(feasible_set, Box):
-        # the bounds were validated when the Box was built
-        x = _box_vector(feasible_set, x)
-        return box_clamp(x, feasible_set.lo, feasible_set.hi)
-    if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
-        if ctx is None:
-            raise ValueError("relaxed l1 projection requires a ProjectionContext")
-        return project_relaxed_l1(x, ctx, feasible_set.radius)
-    raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
+    x = _as_vector(x)
+    anchor = None if ctx is None else ctx.anchor
+    return projector(feasible_set, x, anchor)(anchor, x)

@@ -14,6 +14,7 @@ All mappings evaluate on arrays of shape (..., dim): the solver passes
 single points, the sampling checks pass batches.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +157,12 @@ def power_iteration_gram_norm(mat, max_iters=10_000, rtol=1e-13, seed=0):
     mat = np.asarray(mat, dtype=np.float64)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
+    # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector
+    v /= math.sqrt(v.dot(v))
     w = mat.T @ (mat @ v)
     est = 0.0
     for _ in range(max_iters):
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w.dot(w))
         if norm == 0.0:
             return 0.0
         v = w / norm

@@ -18,7 +18,8 @@ A start of shape (1,) in a Box runs the step on Python floats, where numpy
 calls on one-element arrays would cost about ten times the arithmetic; it
 calls F on a fresh float64 array of shape (1,) and clamps with the tie rule
 of np.maximum / np.minimum, so its traces equal the array step's bit for
-bit. Every other start, and ``tseng_step``, runs the array step.
+bit. Every other start runs the array step, which projects through the
+closure ``geometry.projector`` resolves once per call.
 """
 
 import math
@@ -28,7 +29,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import Box, HalfSpaceRelaxedL1Ball, _box_vector, box_clamp, relaxed_l1_step
+from .geometry import Box, _as_vector, _frozen_vector, projector
 
 
 class NumericError(RuntimeError):
@@ -86,7 +87,7 @@ class ExactTermination:
             raise ValueError("tol_z must be nonnegative and finite")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MseToReference:
     """Stop once the mean squared error to a reference point drops below tol."""
 
@@ -94,7 +95,7 @@ class MseToReference:
     tol: float
 
     def __post_init__(self):
-        self.reference = np.atleast_1d(np.asarray(self.reference, dtype=np.float64))
+        object.__setattr__(self, "reference", _frozen_vector(self.reference, "reference"))
         if not np.all(np.isfinite(self.reference)):
             raise ValueError("reference must be finite")
         if not 0 < self.tol < math.inf:
@@ -174,39 +175,6 @@ def _check_finite(values, n, what):
         raise _non_finite(what, n)
 
 
-def _projection(feasible_set, u):
-    """Resolve the feasible set once for iterates shaped like u.
-
-    Returns project(u, w), the projection of w = u - lam F(u); the relaxed
-    l1 halfspace is built at the anchor u.
-    """
-    if u.ndim != 1:
-        raise ValueError(f"initial point must be a vector, got shape {u.shape}")
-    if isinstance(feasible_set, Box):
-        _box_vector(feasible_set, u)
-        lo, hi = feasible_set.lo, feasible_set.hi
-        return lambda u, w: box_clamp(w, lo, hi)
-    if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
-        omega = feasible_set.radius
-        return lambda u, w: relaxed_l1_step(w, u, np.sign(u), omega)
-    raise ValueError(f"unsupported feasible set {type(feasible_set).__name__}")
-
-
-def _stepper(feasible_set, u):
-    """Pick the step for a solve from u; returns (step, start).
-
-    step(u, lam, f, n, cfg) performs iteration n. A start of shape (1,) in a
-    Box gets the float step and a float start, any other start the array
-    step and u itself.
-    """
-    # the projection also checks u against the feasible set
-    project = _projection(feasible_set, u)
-    if isinstance(feasible_set, Box) and u.shape == (1,):
-        lo, hi = feasible_set.lo.item(), feasible_set.hi.item()
-        return partial(_scalar_step, lo, hi), u.item()
-    return partial(_step, project), u
-
-
 def _step(project, u, lam, f, n, cfg):
     """One iteration; returns everything downstream bookkeeping needs."""
     fu = np.asarray(f(u), dtype=np.float64)
@@ -283,20 +251,7 @@ def _scalar_step(lo, hi, u, lam, f, n, cfg):
 
 # numpy's overflow and invalid-value warnings are silenced once per call:
 # the finiteness checks in _step report such a failure as NumericError
-_QUIET_FP = np.errstate(over="ignore", invalid="ignore")
-
-
-@_QUIET_FP
-def tseng_step(u, lam, f, feasible_set, n, cfg):
-    """Single iteration: returns (u_{n+1}, z_n, lam_{n+1})."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    u_next, z, lam_next, *_ = _step(_projection(feasible_set, u), u, lam, f, n, cfg)
-    return u_next, z, lam_next
-
-
-@_QUIET_FP
+@np.errstate(over="ignore", invalid="ignore")
 def solve(f, feasible_set, u1, cfg):
     """Run the iteration from u1 until the stopping rule fires or max_iters.
 
@@ -305,10 +260,16 @@ def solve(f, feasible_set, u1, cfg):
     rule returns z_n as the final point, the others return the latest
     iterate.
     """
-    start = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
+    start = _as_vector(u1, "initial point")
     if not np.isfinite(start).all():
         raise ValueError("initial point must be finite")
-    step, u = _stepper(feasible_set, start)
+    # the projection also checks the start against the feasible set
+    project = projector(feasible_set, start, start)
+    if isinstance(feasible_set, Box) and start.shape == (1,):
+        step = partial(_scalar_step, feasible_set.lo.item(), feasible_set.hi.item())
+        u = start.item()
+    else:
+        step, u = partial(_step, project), start
     lam = float(cfg.lambda1)
     stop = cfg.stop
     squared = isinstance(stop, SquaredStep)

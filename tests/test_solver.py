@@ -35,7 +35,6 @@ from qvi import (
     step_bound_violation,
     step_rule_slack,
     tseng_identity_error,
-    tseng_step,
 )
 from qvi.experiments import default_recovery_config
 from qvi.solver import _next_step
@@ -85,31 +84,33 @@ def test_next_step_equal_operator_values():
 
 # --- single step ---------------------------------------------------------
 
-def test_tseng_step_hand_trace_interior():
+def _first_step(u1, lambda1=1.0):
+    """(u_2, z_1, lam_2) of a one-step cubic solve from u1."""
     f, box = cubic_problem()
-    cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    u2, z1, lam2 = tseng_step(np.array([0.6]), 1.0, f, box, 1, cfg)
+    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6, max_iters=1), lambda1=lambda1)
+    trace = solve(f, box, u1, cfg).trace
+    return trace.u[1], trace.z[0], trace.lam[1]
+
+
+def test_tseng_step_hand_trace_interior():
+    u2, z1, lam2 = _first_step(0.6)
     assert z1[0] == pytest.approx(0.36, abs=1e-15)
     assert u2[0] == pytest.approx(0.3696, abs=1e-15)
     assert lam2 == pytest.approx(7.5, abs=1e-12)
 
 
 def test_tseng_step_hand_trace_clamped():
-    f, box = cubic_problem()
-    cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    u2, z1, lam2 = tseng_step(np.array([2.0]), 1.0, f, box, 1, cfg)
+    u2, z1, lam2 = _first_step(2.0)
     assert z1[0] == 1.0
     assert u2[0] == -1.0
     assert lam2 == pytest.approx(0.15, abs=1e-15)
 
 
 def test_tseng_step_fixed_point():
-    f, box = cubic_problem()
-    cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    u2, z1, _ = tseng_step(np.array([1.0]), 0.7, f, box, 3, cfg)
+    u2, z1, _ = _first_step(1.0, lambda1=0.7)
     assert z1[0] == 1.0 and u2[0] == 1.0
-    with pytest.raises(ValueError):
-        tseng_step(np.array([1.0]), 0.0, f, box, 1, cfg)
+    with pytest.raises(ValueError, match="lambda1"):
+        _first_step(1.0, lambda1=0.0)
 
 
 # --- full runs -----------------------------------------------------------
@@ -237,6 +238,27 @@ def test_non_finite_reference_is_rejected():
             MseToReference(np.array([0.0, bad]), 1e-6)
 
 
+def test_reference_is_a_private_read_only_copy():
+    ref = np.array([0.5])
+    stop = MseToReference(ref, 1e-3)
+    ref[0] = np.nan
+    np.testing.assert_array_equal(stop.reference, [0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        stop.reference[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stop.tol = 1.0
+
+
+def test_box_bounds_do_not_follow_the_callers_array():
+    # a write to the caller's lo after construction must not empty the box
+    lo = np.zeros(1)
+    box = Box(lo, 1.0)
+    lo[0] = 5.0
+    result = solve(CubicQuasi(), box, 0.5, SolverConfig())
+    assert box.lo[0] == 0.0
+    assert 0.0 <= result.final_point[0] <= 1.0
+
+
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "5", None])
 def test_max_iters_must_be_an_integer(bad):
     with pytest.raises(ValueError, match="max_iters must be an integer"):
@@ -264,13 +286,9 @@ def test_wrong_start_dimension_on_a_box_fails_before_any_operator_call():
     f, box = cubic_problem()
     counting = _Counting(f)
     cfg = scalar_config(mu=0.3, col_tol=1e-6)
-    for call in (
-        lambda: solve(counting, box, np.zeros(2), cfg),
-        lambda: tseng_step(np.zeros(2), 1.0, counting, box, 1, cfg),
-    ):
-        with pytest.raises(ValueError) as err:
-            call()
-        assert str(err.value) == "dimension mismatch: x (2,), box dim 1"
+    with pytest.raises(ValueError) as err:
+        solve(counting, box, np.zeros(2), cfg)
+    assert str(err.value) == "dimension mismatch: x (2,), box dim 1"
     assert counting.calls == 0
 
 
@@ -304,9 +322,6 @@ def test_operator_value_that_does_not_fit_the_iterate_is_rejected():
                     solve(_Misfit(bad, value), feasible_set, np.full(dim, 0.5), cfg)
                 expected = f"dimension mismatch: {what.format(shape)} ({dim},)"
                 assert str(err.value) == expected
-    with pytest.raises(ValueError) as err:
-        tseng_step(np.array([0.5]), 1.0, _Misfit(2, np.zeros(3)), Box(-1.0, 1.0), 1, cfg)
-    assert str(err.value) == "dimension mismatch: F(z_n) (3,), z_n (1,)"
 
 
 def test_reference_shape_must_match_start():
@@ -409,8 +424,6 @@ def test_relaxed_projection_failure_is_numeric():
         warnings.simplefilter("error")
         with pytest.raises(NumericError) as err:
             solve(f, ball, np.zeros(64), cfg)
-        with pytest.raises(NumericError):
-            tseng_step(np.zeros(64), cfg.lambda1, f, ball, 1, cfg)
     assert err.value.iteration == 1
     assert "zero subgradient" in str(err.value)
 
@@ -451,10 +464,9 @@ def _reference_solve(f, feasible_set, u1, cfg):
         fu = np.asarray(f(u), dtype=np.float64)
         w = u - lam * fu
         if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
-            ctx = ProjectionContext(u)
             c = np.abs(u).sum() - feasible_set.radius
-            branches.add("inside" if c <= ctx.tau @ (u - w) else "moved")
-            z = project(feasible_set, w, ctx)
+            branches.add("inside" if c <= np.sign(u) @ (u - w) else "moved")
+            z = project(feasible_set, w, ProjectionContext(u))
         else:
             z = project(feasible_set, w)
         fz = np.asarray(f(z), dtype=np.float64)

@@ -79,14 +79,13 @@ class RunConfig:
     def xi_params(self):
         return XiSequence(self.xi_scale, self.xi_exp)
 
-    def solver_config(self, stop, trace_level="full"):
+    def solver_config(self, stop):
         return SolverConfig(
             lambda1=self.lambda1,
             mu=self.mu,
             xi_params=self.xi_params(),
             stop=stop,
             max_iters=self.max_iters,
-            trace_level=trace_level,
         )
 
 

@@ -54,21 +54,21 @@ class RateEstimate:
 _DIST_CUTOFF = 1e-14  # drop ratio entries where z_n has effectively landed
 
 
-def ratio_series(trace, f, reference, eps=1.0, cutoff=_DIST_CUTOFF):
+def ratio_series(trace, f, reference, eps=1.0):
     """Ratios |<F(z_n), z_n - ref>| / ||z_n - ref||^(2+eps) along a trace.
 
-    Entries with ||z_n - ref|| below the cutoff are dropped to avoid 0/0.
+    Entries with ||z_n - ref|| below _DIST_CUTOFF = 1e-14 are dropped to avoid 0/0.
     """
     if trace is None or trace.z.shape[0] == 0:
         raise ValueError("ratio series needs a trace with z iterates")
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
+    if not 0 <= eps < np.inf:
+        raise ValueError("eps must be nonnegative and finite")
     ref = np.atleast_1d(np.asarray(reference, dtype=np.float64))
     z = trace.z
     fz = np.asarray(f(z), dtype=np.float64)
     diff = z - ref
     dist = np.linalg.norm(diff, axis=1)
-    keep = dist >= cutoff
+    keep = dist >= _DIST_CUTOFF
     num = np.abs(np.einsum("ij,ij->i", fz, diff))
     idx = np.arange(1, z.shape[0] + 1)
     return RatioSeries(
@@ -187,13 +187,15 @@ def build_separation_certificate(points):
 
     delta is a quarter of the minimum pairwise distance; the direction for
     each ordered pair is the normalized difference. Duplicate points are
-    rejected since their separation is zero.
+    rejected since their separation is zero, and so are non-finite ones.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[0] < 2:
         raise ValueError("need at least two points")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     m, d = pts.shape
     directions = np.zeros((m, m, d))
     dmin = np.inf
@@ -255,8 +257,8 @@ def estimate_rates(errors, tail_window=20):
         raise ValueError("tail_window must be at least 3")
     if e.ndim != 1 or e.shape[0] < tail_window:
         raise ValueError(f"need at least {tail_window} error samples")
-    if np.any(e <= 0):
-        raise ValueError("errors must be strictly positive")
+    if not np.all((e > 0) & (e < np.inf)):
+        raise ValueError("errors must be finite and strictly positive")
     tail = e[-tail_window:]
     n = np.arange(e.shape[0] - tail_window + 1, e.shape[0] + 1, dtype=np.float64)
     q = float(np.median(tail[1:] / tail[:-1]))

@@ -9,7 +9,6 @@ the planted signal.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -146,10 +145,10 @@ def run_example_table(spec, keep_traces=False):
     each row stops at the first step whose trace error drops below tol**2,
     or takes the solve's own count and status when no step does. Rows are
     start-major with the tolerances in the given order. cpu_seconds is the
-    solve's time scaled by row.iterations / result.iterations, the time to
-    the row's stop at the solve's mean cost per iteration. Returns TableRow
-    records; with keep_traces the (row, SolveResult) pairs are returned
-    instead, and the rows of one start share one SolveResult.
+    solve loop's wall_time scaled by row.iterations / result.iterations, the
+    time to the row's stop at the solve's mean cost per iteration. Returns
+    TableRow records; with keep_traces the (row, SolveResult) pairs are
+    returned instead, and the rows of one start share one SolveResult.
     """
     f, feasible = PROBLEMS[spec.problem]()
     tightest = min(spec.tolerances)
@@ -159,13 +158,10 @@ def run_example_table(spec, keep_traces=False):
         xi_params=spec.xi_params,
         stop=SquaredStep(tightest * tightest),
         max_iters=spec.max_iters,
-        trace_level="full",
     )
     out = []
     for u1 in spec.initial_points:
-        t0 = time.perf_counter()
         result = solve(f, feasible, u1, cfg)
-        cpu = time.perf_counter() - t0
         trace = result.trace
         for tol in spec.tolerances:
             crossed = np.flatnonzero(trace.errors < tol * tol)
@@ -177,7 +173,7 @@ def run_example_table(spec, keep_traces=False):
                 u1=float(u1),
                 tol=float(tol),
                 iterations=iterations,
-                cpu_seconds=cpu * iterations / result.iterations,
+                cpu_seconds=result.wall_time * iterations / result.iterations,
                 limit=_snap_limit(f, trace.u[iterations]),
                 status=status,
             )
@@ -191,15 +187,14 @@ def random_initial_points(count, seed):
     return tuple(float(v) for v in rng.uniform(0.0, 1.0, size=count))
 
 
-def default_recovery_config(instance, tol=1e-6, max_iters=2000):
+def default_recovery_config(instance):
     """Solver parameters for the recovery study: small initial step, MSE stop."""
     return SolverConfig(
         lambda1=0.1,
         mu=0.3,
         xi_params=XiSequence(100.0, 1.1),
-        stop=MseToReference(instance.signal, tol),
-        max_iters=max_iters,
-        trace_level="full",
+        stop=MseToReference(instance.signal, 1e-6),
+        max_iters=2000,
     )
 
 
@@ -219,8 +214,6 @@ def run_recovery(instance, cfg=None):
         cfg = default_recovery_config(instance)
     if not isinstance(cfg.stop, MseToReference):
         raise ValueError("recovery runs stop on mean squared error to the signal")
-    if cfg.trace_level != "full":
-        raise ValueError("recovery runs need a full trace for the ratio series")
     f = LeastSquares(
         instance.mat, instance.observed, known_solutions=(instance.signal,)
     )

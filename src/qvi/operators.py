@@ -55,7 +55,6 @@ class CubicQuasi(Mapping):
     """F(z) = (1 - |z|) z, quasimonotone and 1-Lipschitz on [-1, 1]."""
 
     dim = 1
-    lipschitz_hint = 1.0
     known_solutions = _scalar_solutions([-1.0, 0.0, 1.0])
     known_dual_solutions = _scalar_solutions([0.0])
 
@@ -75,7 +74,6 @@ class SinePlusOne(Mapping):
     """F(z) = 1 + sin(z), nonnegative and globally 1-Lipschitz."""
 
     dim = 1
-    lipschitz_hint = 1.0
     # zeros 3*pi/2 + 2*k*pi; the stored prefix covers the default window
     known_solutions = _scalar_solutions(
         [0.0] + [2.0 * k * np.pi + 1.5 * np.pi for k in range(5)]
@@ -99,7 +97,6 @@ class PiecewiseQuad(Mapping):
     """
 
     dim = 1
-    lipschitz_hint = 2.0
     known_solutions = _scalar_solutions([0.0, -1.0])
     known_dual_solutions = _scalar_solutions([-1.0])
 
@@ -119,7 +116,7 @@ class LeastSquares(Mapping):
     not a copy, so an evaluation streams a single matrix's memory twice.
     """
 
-    def __init__(self, mat, rhs, known_solutions=(), lipschitz_hint=None):
+    def __init__(self, mat, rhs, known_solutions=()):
         self.mat = np.ascontiguousarray(mat, dtype=np.float64)
         if self.mat.ndim != 2:
             raise ValueError("mat must be a 2-d array")
@@ -130,9 +127,6 @@ class LeastSquares(Mapping):
             )
         self.mat_t = self.mat.T
         self.dim = self.mat.shape[1]
-        if lipschitz_hint is not None and not lipschitz_hint > 0:
-            raise ValueError("lipschitz_hint must be positive")
-        self.lipschitz_hint = lipschitz_hint
         self.known_solutions = tuple(
             np.asarray(s, dtype=np.float64) for s in known_solutions
         )
@@ -192,17 +186,13 @@ class QuasimonotoneReport:
 _QM_TOL = 1e-12  # dead zone: the defining implication uses strict inequalities
 
 
-def _sampling_box(f, domain, window):
+def _sampling_box(f, domain):
     if domain.is_bounded:
         return domain
-    if window is not None:
-        if not window.is_bounded:
-            raise ValueError("sampling window must be bounded")
-        return window
     default = getattr(f, "default_window", None)
     if default is not None:
         return default
-    raise ValueError("unbounded domain: supply a bounded sampling window")
+    raise ValueError("unbounded domain and the operator has no default_window")
 
 
 def _eval_batch(f, points):
@@ -214,7 +204,7 @@ def _eval_batch(f, points):
     return out
 
 
-def check_quasimonotone(f, domain, pairs, seed, window=None, tolerance=_QM_TOL):
+def check_quasimonotone(f, domain, pairs, seed, tolerance=_QM_TOL):
     """Sample (u, z) pairs and test <F(u), z-u> > 0  =>  <F(z), z-u> >= 0.
 
     Reports every sampled pair where the premise holds beyond the dead zone
@@ -223,7 +213,7 @@ def check_quasimonotone(f, domain, pairs, seed, window=None, tolerance=_QM_TOL):
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    box = _sampling_box(f, domain, window)
+    box = _sampling_box(f, domain)
     rng = np.random.default_rng(seed)
     u = box.sample(pairs, rng)
     z = box.sample(pairs, rng)
@@ -244,15 +234,17 @@ def check_quasimonotone(f, domain, pairs, seed, window=None, tolerance=_QM_TOL):
     )
 
 
-def lipschitz_estimate(f, domain, pairs, seed, window=None):
+def lipschitz_estimate(f, domain, pairs, seed):
     """Max sampled ratio ||F(u)-F(z)|| / ||u-z||; a lower bound on L."""
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    box = _sampling_box(f, domain, window)
+    box = _sampling_box(f, domain)
     rng = np.random.default_rng(seed)
     u = box.sample(pairs, rng)
     z = box.sample(pairs, rng)
     du = np.linalg.norm(u - z, axis=1)
     keep = du > 0
+    if not np.any(keep):
+        raise ValueError("no sampled pair has u != z")
     df = np.linalg.norm(_eval_batch(f, u) - _eval_batch(f, z), axis=1)
     return float(np.max(df[keep] / du[keep]))

@@ -164,7 +164,7 @@ def _stem_panels(series):
     return parts
 
 
-def emit_svg_plot(series, kind, path, title=None):
+def emit_svg_plot(series, kind, path):
     """Write a standalone SVG for the given series.
 
     series is a nonempty list of (label, x, y) triples. Kinds:
@@ -181,11 +181,6 @@ def emit_svg_plot(series, kind, path, title=None):
         parts = _line_plot(series, False, False, "iteration", "ratio")
     else:
         parts = _stem_panels(series)
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="18" font-size="14" font-family="sans-serif" '
-            f'text-anchor="middle">{title}</text>'
-        )
     body = "\n".join(parts)
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '

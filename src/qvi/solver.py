@@ -20,6 +20,8 @@ calls F on a fresh float64 array of shape (1,) and clamps with the tie rule
 of np.maximum / np.minimum, so its traces equal the array step's bit for
 bit. Every other start runs the array step, which projects through the
 closure ``geometry.projector`` resolves once per call.
+
+Every solve returns its full trace and the wall time of its loop.
 """
 
 import math
@@ -112,7 +114,6 @@ class SolverConfig:
     xi_params: XiSequence = field(default_factory=XiSequence)
     stop: StoppingRule = field(default_factory=lambda: SquaredStep(1e-12))
     max_iters: int = 500
-    trace_level: str = "full"
 
     def __post_init__(self):
         if not 0 < self.lambda1 < math.inf:
@@ -123,8 +124,6 @@ class SolverConfig:
             raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.trace_level not in ("final", "full"):
-            raise ValueError("trace_level must be 'final' or 'full'")
 
 
 @dataclass(eq=False)
@@ -156,7 +155,7 @@ class SolveResult:
     iterations: int
     status: str  # converged | terminated_exact | max_iters
     wall_time: float
-    trace: SolveTrace | None = None
+    trace: SolveTrace
 
 
 def _next_step(lam, xi_n, res, df, mu):
@@ -276,7 +275,6 @@ def solve(f, feasible_set, u1, cfg):
     exact = isinstance(stop, ExactTermination)
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
-    full = cfg.trace_level == "full"
 
     us = [u]
     zs = []
@@ -286,11 +284,9 @@ def solve(f, feasible_set, u1, cfg):
     operator_diffs = []
 
     status = "max_iters"
-    final = u
-    iterations = 0
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u_next, z, lam_next, fz, res, df, err_sq = step(u, lam, f, n, cfg)
+        u, z, lam, fz, res, df, err_sq = step(u, lam, f, n, cfg)
         if squared:
             error = err_sq
             done = error < stop.tol
@@ -302,41 +298,34 @@ def solve(f, feasible_set, u1, cfg):
         else:
             # np.mean's reduction and division, without its dispatch; a
             # float iterate broadcasts against the (1,) reference
-            d = u_next - stop.reference
+            d = u - stop.reference
             error = float(np.add.reduce(d * d)) / d.size
             done = error < stop.tol
-        if full:
-            us.append(u_next)
-            zs.append(z)
-            lams.append(lam_next)
+        us.append(u)
+        zs.append(z)
+        lams.append(lam)
         errors.append(error)
         residuals.append(res)
         operator_diffs.append(df)
-        iterations = n
         if done:
             status = "terminated_exact" if exact else "converged"
-            final = z if exact else u_next
             break
-        u, lam = u_next, lam_next
-        final = u
     wall = time.perf_counter() - t0
 
-    trace = None
-    if full:
-        # the loop runs at least once, so zs is never empty; np.array
-        # stacks float and array iterates alike
-        dim = start.shape[0]
-        trace = SolveTrace(
-            u=np.array(us).reshape(-1, dim),
-            z=np.array(zs).reshape(-1, dim),
-            lam=np.asarray(lams),
-            errors=np.asarray(errors),
-            residuals=np.asarray(residuals),
-            operator_diffs=np.asarray(operator_diffs),
-        )
+    # the loop runs at least once, so zs is never empty; np.array
+    # stacks float and array iterates alike
+    dim = start.shape[0]
+    trace = SolveTrace(
+        u=np.array(us).reshape(-1, dim),
+        z=np.array(zs).reshape(-1, dim),
+        lam=np.asarray(lams),
+        errors=np.asarray(errors),
+        residuals=np.asarray(residuals),
+        operator_diffs=np.asarray(operator_diffs),
+    )
     return SolveResult(
-        final_point=np.atleast_1d(final),
-        iterations=iterations,
+        final_point=np.atleast_1d(z if status == "terminated_exact" else u),
+        iterations=len(zs),
         status=status,
         wall_time=wall,
         trace=trace,

@@ -13,7 +13,7 @@ def warm_up():
     instance = qvi.gen_recovery(8, 16, 2, seed=0)
     qvi.run_recovery(instance, qvi.SolverConfig(
         lambda1=0.1, mu=0.3, stop=qvi.MseToReference(instance.signal, 1e-6),
-        max_iters=3, trace_level="full",
+        max_iters=3,
     ))
     yield
 
@@ -26,7 +26,6 @@ def scalar_config(mu, col_tol, max_iters=500):
         xi_params=qvi.XiSequence(100.0, 1.1),
         stop=qvi.SquaredStep(col_tol * col_tol),
         max_iters=max_iters,
-        trace_level="full",
     )
 
 

@@ -84,6 +84,9 @@ def test_ratio_series_validation():
         ratio_series(None, f, np.array([0.0]))
     with pytest.raises(ValueError):
         ratio_series(_trace_with_z([0.5]), f, np.array([0.0]), eps=-0.5)
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps must be nonnegative and finite"):
+            ratio_series(_trace_with_z([0.5]), f, np.array([0.0]), eps=eps)
     empty = ratio_series(_trace_with_z([0.0]), f, np.array([0.0]))
     with pytest.raises(ValueError):
         empty.min_ratio
@@ -125,6 +128,10 @@ def test_certificate_rejects_degenerate_inputs():
         build_separation_certificate([1.0])
     with pytest.raises(ValueError):
         build_separation_certificate([1.0, 1.0, 2.0])
+    # a NaN gave delta 0.75 and an inf NaN directions before the check
+    for points in ([0.0, np.nan, 3.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="points must be finite"):
+            build_separation_certificate(points)
 
 
 def test_overwide_slabs_are_rejected():
@@ -159,6 +166,9 @@ def test_rate_estimator_validation():
         estimate_rates([1.0, -0.5, 0.2, 0.1], tail_window=3)
     with pytest.raises(ValueError):
         estimate_rates([1.0, 0.5, 0.2], tail_window=2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            estimate_rates([1.0, bad, 0.2, 0.1], tail_window=3)
 
 
 def test_rate_estimator_on_solver_run():

@@ -5,10 +5,8 @@ import pytest
 
 from qvi import (
     SolverConfig,
-    MseToReference,
     SquaredStep,
     TableSpec,
-    XiSequence,
     gen_recovery,
     mse,
     run_example_table,
@@ -130,7 +128,6 @@ def _standalone(spec, u1, tol):
         xi_params=spec.xi_params,
         stop=SquaredStep(tol * tol),
         max_iters=spec.max_iters,
-        trace_level="full",
     )
     return f, solve(f, feasible, u1, cfg)
 
@@ -239,13 +236,3 @@ def test_run_recovery_requires_mse_rule_and_trace():
 
     with pytest.raises(ValueError):
         run_recovery(inst, SolverConfig(stop=SquaredStep(1e-12)))
-    bad = SolverConfig(
-        lambda1=0.1,
-        mu=0.3,
-        xi_params=XiSequence(),
-        stop=MseToReference(inst.signal, 1e-6),
-        max_iters=10,
-        trace_level="final",
-    )
-    with pytest.raises(ValueError):
-        run_recovery(inst, bad)

@@ -61,8 +61,6 @@ def test_least_squares_eval_and_validation():
         f(np.zeros(7))
     with pytest.raises(ValueError):
         LeastSquares(inst.mat, np.zeros(5))
-    with pytest.raises(ValueError):
-        LeastSquares(inst.mat, inst.observed, lipschitz_hint=0.0)
 
 
 def test_least_squares_batch_matches_single():
@@ -163,7 +161,7 @@ def test_quasimonotone_unbounded_domain_needs_window():
 
     with pytest.raises(ValueError):
         check_quasimonotone(NoWindow(), Box(0.0, np.inf), pairs=10, seed=0)
-    # the sine operator carries a default window, so no override is needed
+    # the sine operator carries a default window, which sampling falls back to
     report = check_quasimonotone(SinePlusOne(), Box(0.0, np.inf), pairs=100, seed=0)
     assert report.violations == 0
 
@@ -173,6 +171,11 @@ def test_lipschitz_estimates_scalar():
     assert 0.9 < est <= 1.0
     est = lipschitz_estimate(SinePlusOne(), Box(0.0, 20.0), pairs=10_000, seed=1)
     assert 0.9 < est <= 1.0
+
+
+def test_lipschitz_estimate_on_a_one_point_box_is_rejected():
+    with pytest.raises(ValueError, match="no sampled pair has u != z"):
+        lipschitz_estimate(CubicQuasi(), Box(0.5, 0.5), pairs=100, seed=0)
 
 
 def test_lipschitz_estimate_least_squares_below_gram_norm():

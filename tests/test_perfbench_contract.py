@@ -1,4 +1,5 @@
-"""The package names the benchmark in perfbench/ calls still exist.
+"""The package names, attributes and keywords the benchmark in perfbench/
+uses still exist.
 
 perfbench/run.py counts an exception raised inside an op as a failed op, so
 a name it calls that the package no longer has would show up as failed ops
@@ -7,6 +8,7 @@ nothing there.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,51 @@ from qvi import experiments
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = {"qvi": qvi, "experiments": experiments, "qvi.experiments": experiments}
+OPERATORS = {
+    "CubicQuasi": qvi.CubicQuasi(),
+    "SinePlusOne": qvi.SinePlusOne(),
+    "PiecewiseQuad": qvi.PiecewiseQuad(),
+    "LeastSquares": qvi.LeastSquares(np.ones((2, 3)), np.zeros(2)),
+}
+
+
+def _parse(name):
+    path = PERFBENCH / name
+    return ast.parse(path.read_text(), str(path))
+
+
+def _callee(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _inner_reads(nodes):
+    return {
+        node.attr
+        for stmt in nodes
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "inner"
+    }
+
+
+def _timed_mapping_reads():
+    """Attributes ``TimedMapping.__init__`` reads from its ``inner`` operator,
+    keyed by the class an ``if isinstance(inner, qvi.<class>)`` guard names,
+    or by None for the reads every operator must serve."""
+    tracing = _parse("tracing.py")
+    cls = next(n for n in tracing.body if isinstance(n, ast.ClassDef) and n.name == "TimedMapping")
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    reads = {None: set()}
+    for stmt in init.body:
+        test = getattr(stmt, "test", None)
+        if isinstance(test, ast.Call) and _callee(test) == "isinstance":
+            reads.setdefault(test.args[1].attr, set()).update(_inner_reads(stmt.body))
+            reads[None] |= _inner_reads(stmt.orelse)
+        else:
+            reads[None] |= _inner_reads([stmt])
+    return reads
 
 
 def _benchmark_names():
@@ -23,7 +70,7 @@ def _benchmark_names():
     and the names of ``from qvi import ...`` and ``from qvi.experiments import ...``."""
     names = set()
     for path in sorted(PERFBENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        for node in ast.walk(_parse(path.name)):
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in MODULES:
                     names.add((node.value.id, node.attr))
@@ -37,6 +84,31 @@ def test_every_name_the_benchmark_calls_resolves():
     assert ("qvi", "project") in names and ("qvi.experiments", "run_example_table") in names
     missing = sorted(f"{module}.{name}" for module, name in names if not hasattr(MODULES[module], name))
     assert missing == []
+
+
+def test_every_operator_has_what_the_timed_mapping_reads():
+    reads = _timed_mapping_reads()
+    assert {"dim", "lipschitz_hint", "known_solutions"} <= reads[None]
+    assert {"mat", "mat_t"} <= reads["LeastSquares"]
+    missing = sorted(
+        f"{name}.{attr}"
+        for name, op in OPERATORS.items()
+        for attr in reads[None] | reads.get(name, set())
+        if not hasattr(op, attr)
+    )
+    assert missing == []
+
+
+def test_solver_config_takes_every_keyword_the_workloads_pass():
+    passed = {
+        keyword.arg
+        for node in ast.walk(_parse("workloads.py"))
+        if isinstance(node, ast.Call) and _callee(node) == "SolverConfig"
+        for keyword in node.keywords
+    }
+    assert "max_iters" in passed
+    accepted = inspect.signature(qvi.SolverConfig).parameters
+    assert sorted(passed - set(accepted)) == []
 
 
 def test_project_takes_the_benchmark_geometry_calls():

@@ -148,7 +148,7 @@ def test_exact_termination_opt_in():
     f, box = cubic_problem()
     cfg = SolverConfig(
         lambda1=1.0, mu=0.3, xi_params=XI_DEFAULT,
-        stop=ExactTermination(0.0), max_iters=50, trace_level="full",
+        stop=ExactTermination(0.0), max_iters=50,
     )
     result = solve(f, box, 2.0, cfg)
     assert result.status == "terminated_exact"
@@ -169,7 +169,6 @@ def test_mse_stopping_records_mse_errors():
     cfg = SolverConfig(
         lambda1=1.0, mu=0.3, xi_params=XI_DEFAULT,
         stop=MseToReference(np.array([0.0]), 1e-10), max_iters=200,
-        trace_level="full",
     )
     result = solve(f, box, 0.6, cfg)
     assert result.status == "converged"
@@ -191,9 +190,6 @@ def test_trace_shapes_and_levels():
     assert trace.residuals.shape == (n,)
     assert trace.iterations == n
 
-    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6), trace_level="final")
-    assert solve(f, box, 0.6, cfg).trace is None
-
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
@@ -204,8 +200,6 @@ def test_solver_config_validation():
         SolverConfig(lambda1=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(trace_level="none")
     with pytest.raises(ValueError):
         SquaredStep(0.0)
     with pytest.raises(ValueError):
@@ -555,12 +549,10 @@ def test_float_step_clamps_a_zero_to_the_bound_like_np_maximum():
         assert np.array_equal(np.signbit(result.final_point), np.signbit(final))
 
 
-@pytest.mark.parametrize("trace_level", ["full", "final"])
-def test_float_step_calls_the_operator_twice_per_iteration_on_new_arrays(trace_level):
+def test_float_step_calls_the_operator_twice_per_iteration_on_new_arrays():
     f, box = cubic_problem()
     counting = _Counting(f)
-    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6), trace_level=trace_level)
-    result = solve(counting, box, 0.6, cfg)
+    result = solve(counting, box, 0.6, scalar_config(mu=0.3, col_tol=1e-6))
     n = result.iterations
     inputs = counting.inputs
     assert n > 10 and len(inputs) == 2 * n
@@ -570,9 +562,6 @@ def test_float_step_calls_the_operator_twice_per_iteration_on_new_arrays(trace_l
     assert all(x is not result.final_point for x in inputs)
     assert type(result.final_point) is np.ndarray
     assert result.final_point.dtype == np.float64 and result.final_point.shape == (1,)
-    if trace_level == "final":
-        assert result.trace is None
-        return
     trace = result.trace
     assert trace.u.shape == (n + 1, 1) and trace.z.shape == (n, 1)
     assert trace.lam.shape == (n + 1,)

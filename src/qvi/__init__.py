@@ -48,6 +48,7 @@ from .operators import (
     QuasimonotoneReport,
     SinePlusOne,
     check_quasimonotone,
+    gram_norm,
     lipschitz_estimate,
     power_iteration_gram_norm,
 )
@@ -97,6 +98,7 @@ __all__ = [
     "estimate_rates",
     "fejer_audit",
     "gen_recovery",
+    "gram_norm",
     "lipschitz_estimate",
     "mse",
     "piecewise_problem",

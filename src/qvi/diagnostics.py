@@ -9,6 +9,7 @@ convergence-rate estimates.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,14 @@ def tseng_identity_error(trace, f):
     return float(np.max(w))
 
 
+@np.errstate(over="ignore")  # an overflowing distance is rejected below
 def build_separation_certificate(points):
     """Slab certificate from a finite point set.
 
     delta is a quarter of the minimum pairwise distance; the direction for
     each ordered pair is the normalized difference. Duplicate points are
-    rejected since their separation is zero, and so are non-finite ones.
+    rejected since their separation is zero, and so are non-finite ones and
+    pairs whose distance overflows.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
@@ -204,6 +207,8 @@ def build_separation_certificate(points):
         dist = float(np.linalg.norm(diff))
         if dist == 0.0:
             raise ValueError(f"duplicate points at indices {i} and {j}")
+        if not math.isfinite(dist):
+            raise ValueError(f"distance between points {i} and {j} is not finite")
         directions[i, j] = diff / dist
         directions[j, i] = -diff / dist
         dmin = min(dmin, dist)

@@ -14,7 +14,6 @@ All mappings evaluate on arrays of shape (..., dim): the solver passes
 single points, the sampling checks pass batches.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +119,15 @@ class LeastSquares(Mapping):
         self.mat = np.ascontiguousarray(mat, dtype=np.float64)
         if self.mat.ndim != 2:
             raise ValueError("mat must be a 2-d array")
+        if not np.isfinite(self.mat).all():
+            raise ValueError("mat must be finite")
         self.rhs = np.ascontiguousarray(rhs, dtype=np.float64)
         if self.rhs.shape != (self.mat.shape[0],):
             raise ValueError(
                 f"rhs shape {self.rhs.shape} does not match mat rows {self.mat.shape[0]}"
             )
+        if not np.isfinite(self.rhs).all():
+            raise ValueError("rhs must be finite")
         self.mat_t = self.mat.T
         self.dim = self.mat.shape[1]
         self.known_solutions = tuple(
@@ -141,31 +144,27 @@ class LeastSquares(Mapping):
         return (x @ self.mat_t - self.rhs) @ self.mat
 
 
-def power_iteration_gram_norm(mat, max_iters=10_000, rtol=1e-13, seed=0):
-    """Largest eigenvalue of T'T by power iteration (deterministic start).
+def gram_norm(mat):
+    """Largest eigenvalue of T'T: the Lipschitz constant of ``LeastSquares``.
 
-    Each step makes one Gram product w = T'(T v): it gives both the
-    Rayleigh quotient v'w of the current unit vector v and, normalized, the
-    next v.
+    T'T and TT' share their nonzero eigenvalues, so one dense symmetric
+    eigensolve of the smaller of the two gives the value exactly, at a cost
+    that does not depend on the spectral gap. A matrix with a zero dimension
+    gives 0.0.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[1])
-    # sqrt(v.dot(v)) is what np.linalg.norm computes for a real vector
-    v /= math.sqrt(v.dot(v))
-    w = mat.T @ (mat @ v)
-    est = 0.0
-    for _ in range(max_iters):
-        norm = math.sqrt(w.dot(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        w = mat.T @ (mat @ v)
-        new_est = float(v @ w)
-        if abs(new_est - est) <= rtol * max(1.0, abs(new_est)):
-            return new_est
-        est = new_est
-    return est
+    if mat.ndim != 2:
+        raise ValueError(f"mat must be a 2-d array, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError("mat must be finite")
+    if 0 in mat.shape:
+        return 0.0
+    gram = mat @ mat.T if mat.shape[0] <= mat.shape[1] else mat.T @ mat
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+#: former name of ``gram_norm``, still called by perfbench/workloads.py
+power_iteration_gram_norm = gram_norm
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,7 @@ def test_criterion_6_step_size_invariants(cubic_runs, sine_runs, recovery_runs):
             k = 20 if seed < 10 else 40
             instance = qvi.gen_recovery(256, 512, k, seed=seed % 10)
             f = qvi.LeastSquares(instance.mat, instance.observed)
-            lip = qvi.power_iteration_gram_norm(instance.mat)
+            lip = qvi.gram_norm(instance.mat)
             cfg = qvi.experiments.default_recovery_config(instance)
             assert qvi.step_bound_violation(out.result.trace, cfg, lip) <= 1e-9
             assert qvi.step_rule_slack(out.result.trace, cfg) <= 1e-12

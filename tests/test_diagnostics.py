@@ -132,6 +132,10 @@ def test_certificate_rejects_degenerate_inputs():
     for points in ([0.0, np.nan, 3.0], [0.0, np.inf]):
         with pytest.raises(ValueError, match="points must be finite"):
             build_separation_certificate(points)
+    # finite points whose difference overflows gave delta inf and NaN directions
+    for points in ([-1e308, 1e308], [[0.0, 0.0], [1e200, 1e200]]):
+        with pytest.raises(ValueError, match="distance between points 0 and 1 is not finite"):
+            build_separation_certificate(points)
 
 
 def test_overwide_slabs_are_rejected():

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
+import qvi
 from qvi import (
     Box,
     CubicQuasi,
@@ -12,8 +16,8 @@ from qvi import (
     SinePlusOne,
     check_quasimonotone,
     gen_recovery,
+    gram_norm,
     lipschitz_estimate,
-    power_iteration_gram_norm,
 )
 
 THREE_HALF_PI = 4.712388980384690  # 3*pi/2
@@ -61,6 +65,13 @@ def test_least_squares_eval_and_validation():
         f(np.zeros(7))
     with pytest.raises(ValueError):
         LeastSquares(inst.mat, np.zeros(5))
+    with pytest.raises(ValueError, match="mat must be finite"):
+        LeastSquares([[np.nan, 1.0]], [0.0])
+    for bad in (np.inf, -np.inf, np.nan):
+        rhs = inst.observed.copy()
+        rhs[3] = bad
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            LeastSquares(inst.mat, rhs)
 
 
 def test_least_squares_batch_matches_single():
@@ -183,45 +194,78 @@ def test_lipschitz_estimate_least_squares_below_gram_norm():
     f = LeastSquares(inst.mat, inst.observed)
     box = Box(np.full(40, -2.0), np.full(40, 2.0))
     est = lipschitz_estimate(f, box, pairs=2000, seed=1)
-    assert est <= power_iteration_gram_norm(inst.mat) + 1e-9
+    assert est <= gram_norm(inst.mat) + 1e-9
 
 
 def test_power_iteration_matches_dense_eigensolver():
     rng = np.random.default_rng(17)
     mat = rng.standard_normal((15, 25))
     exact = float(np.linalg.eigvalsh(mat.T @ mat).max())
-    assert power_iteration_gram_norm(mat) == pytest.approx(exact, rel=1e-10)
+    assert gram_norm(mat) == pytest.approx(exact, rel=1e-10)
 
 
-def _power_iteration_two_products(mat, max_iters=10_000, rtol=1e-13, seed=0):
-    """Reference loop that forms T'(T v) twice for each v."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(mat.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iters):
-        w = mat.T @ (mat @ v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        new_est = float(v @ (mat.T @ (mat @ v)))
-        if abs(new_est - est) <= rtol * max(1.0, abs(new_est)):
-            return new_est
-        est = new_est
-    return est
+_RNG = np.random.default_rng(5)
+_LOW_RANK = _RNG.standard_normal((25, 3)) @ _RNG.standard_normal((3, 40))
+GRAM_NORM_CASES = {
+    "tall": _RNG.standard_normal((30, 12)),
+    "wide": _RNG.standard_normal((12, 30)),
+    "square": _RNG.standard_normal((20, 20)),
+    "recovery": gen_recovery(40, 90, 5, seed=3).mat,
+    "rank_deficient": _LOW_RANK,
+    "rank_deficient_tall": _LOW_RANK.T,
+    "all_zero": np.zeros((5, 7)),
+}
 
 
-@pytest.mark.parametrize("max_iters", [1, 3, 10_000])
-def test_power_iteration_equals_two_product_loop(max_iters):
-    rng = np.random.default_rng(5)
-    mats = [rng.standard_normal(shape) for shape in ((6, 9), (20, 11), (40, 90))]
-    mats.append(gen_recovery(40, 90, 5, seed=3).mat)
-    for mat in mats:
-        for seed in (0, 1):
-            got = power_iteration_gram_norm(mat, max_iters=max_iters, seed=seed)
-            assert got == _power_iteration_two_products(mat, max_iters=max_iters, seed=seed)
-    assert power_iteration_gram_norm(np.zeros((4, 6)), max_iters=max_iters) == 0.0
+@pytest.mark.parametrize("mat", GRAM_NORM_CASES.values(), ids=GRAM_NORM_CASES.keys())
+def test_gram_norm_is_the_squared_largest_singular_value(mat):
+    exact = np.linalg.svd(mat, compute_uv=False)[0] ** 2
+    assert gram_norm(mat) == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0)])
+def test_gram_norm_of_an_empty_matrix_is_zero(shape):
+    assert gram_norm(np.zeros(shape)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "mat, message",
+    [
+        (np.ones(4), "2-d"),
+        (np.ones((2, 3, 4)), "2-d"),
+        (np.array([[1.0, np.nan], [0.0, 1.0]]), "finite"),
+        (np.array([[1.0, np.inf]]), "finite"),
+        (np.array([[-np.inf], [1.0]]), "finite"),
+    ],
+)
+def test_gram_norm_rejects_bad_matrices(mat, message):
+    with pytest.raises(ValueError, match=f"mat must be .*{message}"):
+        gram_norm(mat)
+
+
+@st.composite
+def _matrix_and_vector(draw):
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    mat = draw(arrays(np.float64, (m, n), elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    v = draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+    return mat, v
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_matrix_and_vector())
+def test_gram_norm_bounds_every_rayleigh_quotient(case):
+    mat, v = case
+    norm = np.linalg.norm(v)
+    if norm < 1e-3:
+        v, norm = np.eye(len(v))[0], 1.0
+    tv = mat @ (v / norm)
+    # eigvalsh is backward stable: its error is a few ulps of ||T||_F^2 >= lambda_max
+    slack = 1e-13 * float((mat * mat).sum())
+    assert float(tv @ tv) <= gram_norm(mat) + slack
+
+
+def test_power_iteration_gram_norm_is_an_alias():
+    assert qvi.power_iteration_gram_norm is qvi.gram_norm is gram_norm
 
 
 def test_least_squares_monotone():

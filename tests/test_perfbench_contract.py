@@ -1,5 +1,5 @@
 """The package names, attributes and keywords the benchmark in perfbench/
-uses still exist.
+uses still exist, and each of its calls fits the called function's signature.
 
 perfbench/run.py counts an exception raised inside an op as a failed op, so
 a name it calls that the package no longer has would show up as failed ops
@@ -79,11 +79,83 @@ def _benchmark_names():
     return names
 
 
+def _qvi_function(node, imported):
+    """The package function an expression names: ``qvi.<name>``,
+    ``experiments.<name>`` or a name imported from the package; else None."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.value.id in MODULES:
+            return f"{node.value.id}.{node.attr}", getattr(MODULES[node.value.id], node.attr, None)
+    elif isinstance(node, ast.Name) and node.id in imported:
+        module = imported[node.id]
+        return f"{module}.{node.id}", getattr(MODULES[module], node.id, None)
+    return None
+
+
+def _wrappers(tree):
+    """Functions that take ``*args``, by name, with their keyword-only
+    parameters: the audit's ``call(name, fn, *args, calls=...)`` keeps those
+    keywords for itself and passes the rest on to ``fn``."""
+    return {
+        node.name: {arg.arg for arg in node.args.kwonlyargs}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.args.vararg is not None
+    }
+
+
+def _benchmark_calls():
+    """(where, name, function, positional count, keyword names) for each call
+    of a package function in perfbench/: direct calls, and calls of a wrapper
+    that is handed the function followed by its arguments."""
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = _parse(path.name)
+        imported = {
+            alias.asname or alias.name: node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in MODULES
+            for alias in node.names
+        }
+        wrappers = _wrappers(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _qvi_function(node.func, imported)
+            args, keywords = node.args, [k.arg for k in node.keywords]
+            if target is None and _callee(node) in wrappers:
+                for i, arg in enumerate(node.args):
+                    target = _qvi_function(arg, imported)
+                    if target is not None:
+                        args = node.args[i + 1 :]
+                        keywords = [k for k in keywords if k not in wrappers[_callee(node)]]
+                        break
+            if target is None:
+                continue
+            # a starred argument or **kwargs cannot be counted; none exist today
+            assert not any(isinstance(arg, ast.Starred) for arg in args), f"{path.name}:{node.lineno}"
+            assert None not in keywords, f"{path.name}:{node.lineno}"
+            calls.append((f"{path.name}:{node.lineno}", *target, len(args), keywords))
+    return calls
+
+
 def test_every_name_the_benchmark_calls_resolves():
     names = _benchmark_names()
     assert ("qvi", "project") in names and ("qvi.experiments", "run_example_table") in names
     missing = sorted(f"{module}.{name}" for module, name in names if not hasattr(MODULES[module], name))
     assert missing == []
+
+
+def test_every_benchmark_call_binds_to_its_signature():
+    calls = _benchmark_calls()
+    called = {name for _, name, *_ in calls}
+    # one direct call, one call through the audit's wrappers, one imported name
+    assert {"qvi.gen_recovery", "qvi.power_iteration_gram_norm", "qvi.experiments.run_recovery"} <= called
+    unbound = []
+    for where, name, fn, positional, keywords in calls:
+        try:
+            inspect.signature(fn).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"{where} {name}: {exc}")
+    assert unbound == []
 
 
 def test_every_operator_has_what_the_timed_mapping_reads():

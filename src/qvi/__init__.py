@@ -42,14 +42,13 @@ from .geometry import (
 )
 from .operators import (
     CubicQuasi,
+    HypothesisReport,
     LeastSquares,
     Mapping,
     PiecewiseQuad,
-    QuasimonotoneReport,
     SinePlusOne,
-    check_quasimonotone,
+    check_hypotheses,
     gram_norm,
-    lipschitz_estimate,
     power_iteration_gram_norm,
 )
 from .solver import (
@@ -72,13 +71,13 @@ __all__ = [
     "ExactTermination",
     "FeasibleSet",
     "HalfSpaceRelaxedL1Ball",
+    "HypothesisReport",
     "LeastSquares",
     "Mapping",
     "MseToReference",
     "NumericError",
     "PiecewiseQuad",
     "ProjectionContext",
-    "QuasimonotoneReport",
     "RateEstimate",
     "RatioSeries",
     "RecoveryInstance",
@@ -93,13 +92,12 @@ __all__ = [
     "TableSpec",
     "XiSequence",
     "build_separation_certificate",
-    "check_quasimonotone",
+    "check_hypotheses",
     "cubic_problem",
     "estimate_rates",
     "fejer_audit",
     "gen_recovery",
     "gram_norm",
-    "lipschitz_estimate",
     "mse",
     "piecewise_problem",
     "power_iteration_gram_norm",

@@ -321,7 +321,7 @@ def _cmd_recovery(cfg):
     cpu = time.perf_counter() - t0
     ratio_by_n = dict(zip(out.ratio_series.index.tolist(), out.ratio_series.values))
     rows = [
-        (i + 1, float(out.mse_series[i]), ratio_by_n.get(i + 1))
+        (i + 1, float(out.result.trace.errors[i]), ratio_by_n.get(i + 1))
         for i in range(out.result.iterations)
     ]
     path = _outpath(cfg, "recovery.csv")
@@ -329,7 +329,7 @@ def _cmd_recovery(cfg):
     if cfg.plot:
         idx = np.arange(1, out.result.iterations + 1)
         plots.emit_svg_plot(
-            [("mse", idx, out.mse_series)],
+            [("mse", idx, out.result.trace.errors)],
             "error_vs_iter_loglog",
             _outpath(cfg, "recovery_error.svg"),
         )
@@ -350,7 +350,7 @@ def _cmd_recovery(cfg):
     print(
         f"recovery: M={cfg.m} N={cfg.n} K={cfg.k} seed={cfg.seed} "
         f"iterations={out.result.iterations} status={out.result.status} "
-        f"final_mse={float(out.mse_series[-1]):.6g} cpu={cpu:.3f}s -> {path}"
+        f"final_mse={float(out.result.trace.errors[-1]):.6g} cpu={cpu:.3f}s -> {path}"
     )
     return 0
 
@@ -358,8 +358,6 @@ def _cmd_recovery(cfg):
 def _cmd_rates(cfg):
     f, result = _run_scalar(cfg)
     limit = f.nearest_solution(result.final_point)
-    if limit is None:
-        limit = result.final_point
     errors = np.linalg.norm(result.trace.u - limit, axis=1)
     keep = errors > 0
     idx = np.arange(1, errors.shape[0] + 1)[keep]
@@ -385,8 +383,6 @@ def _cmd_ratio(cfg):
         reference = np.array([cfg.ref], dtype=np.float64)
     else:
         reference = f.nearest_solution(result.final_point)
-        if reference is None:
-            reference = result.final_point
     series = diagnostics.ratio_series(result.trace, f, reference, eps=1.0)
     path = _outpath(cfg, "ratio.csv")
     emit_csv(list(zip(series.index, series.values)), ["n", "ratio"], path)

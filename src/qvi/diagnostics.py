@@ -21,8 +21,6 @@ class RatioSeries:
 
     index: np.ndarray
     values: np.ndarray
-    eps: float
-    reference: np.ndarray
 
     @property
     def min_ratio(self):
@@ -72,12 +70,7 @@ def ratio_series(trace, f, reference, eps=1.0):
     keep = dist >= _DIST_CUTOFF
     num = np.abs(np.einsum("ij,ij->i", fz, diff))
     idx = np.arange(1, z.shape[0] + 1)
-    return RatioSeries(
-        index=idx[keep],
-        values=num[keep] / dist[keep] ** (2.0 + eps),
-        eps=eps,
-        reference=ref,
-    )
+    return RatioSeries(index=idx[keep], values=num[keep] / dist[keep] ** (2.0 + eps))
 
 
 def fejer_audit(trace, f, u, mu):

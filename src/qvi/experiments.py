@@ -8,6 +8,7 @@ l1 ball via its halfspace relaxation, tracking the mean squared error to
 the planted signal.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -30,14 +31,19 @@ from .solver import (
 LIMIT_SNAP_TOL = 1e-2
 
 
+# one (operator, Box) pair per problem: neither changes once built, and a Box
+# costs microseconds to validate, a few percent of a one-start table op
+@functools.cache
 def cubic_problem():
     return CubicQuasi(), Box(-1.0, 1.0)
 
 
+@functools.cache
 def sine_problem():
     return SinePlusOne(), Box(0.0, np.inf)
 
 
+@functools.cache
 def piecewise_problem():
     return PiecewiseQuad(), Box(-1.0, 1.0)
 
@@ -67,10 +73,6 @@ class RecoveryInstance:
     observed: np.ndarray
     omega: float
     seed: int
-
-    @property
-    def shape(self):
-        return self.mat.shape
 
 
 def gen_recovery(m, n, k, seed):
@@ -200,15 +202,15 @@ def default_recovery_config(instance):
 
 class RecoveryOutput(NamedTuple):
     result: SolveResult
-    mse_series: np.ndarray
     ratio_series: RatioSeries
 
 
 def run_recovery(instance, cfg=None):
     """Solve a recovery instance from the zero vector.
 
-    Returns the solve result, the per-iteration MSE trajectory, and the
-    eps = 1 sharpness-ratio series against the planted signal.
+    Returns the solve result, whose ``trace.errors`` is the per-iteration MSE
+    trajectory, and the eps = 1 sharpness-ratio series against the planted
+    signal.
     """
     if cfg is None:
         cfg = default_recovery_config(instance)
@@ -221,6 +223,4 @@ def run_recovery(instance, cfg=None):
     u1 = np.zeros(instance.mat.shape[1])
     result = solve(f, feasible, u1, cfg)
     ratios = ratio_series(result.trace, f, instance.signal, eps=1.0)
-    return RecoveryOutput(
-        result=result, mse_series=result.trace.errors.copy(), ratio_series=ratios
-    )
+    return RecoveryOutput(result=result, ratio_series=ratios)

@@ -55,14 +55,10 @@ class Box:
     def dim(self):
         return self.lo.shape[0]
 
-    @property
-    def is_bounded(self):
-        return bool(np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi)))
-
     def sample(self, count, rng):
         """Uniform samples of shape (count, dim); requires finite bounds."""
-        if not self.is_bounded:
-            raise ValueError("cannot sample an unbounded box; supply a bounded window")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("cannot sample an unbounded box")
         return rng.uniform(self.lo, self.hi, size=(count, self.dim))
 
 

@@ -1,4 +1,4 @@
-"""Test operators with known solution sets, plus sampling-based checks.
+"""Test operators with known solution sets, plus a sampled hypotheses check.
 
 The zoo covers four mappings used throughout the experiments and
 diagnostics:
@@ -11,24 +11,23 @@ diagnostics:
 * ``LeastSquares``   F(u) = T'(Tu - y), the gradient of 0.5*||Tu - y||^2.
 
 All mappings evaluate on arrays of shape (..., dim): the solver passes
-single points, the sampling checks pass batches.
+single points, the sampled hypotheses check passes batches.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box
-
 
 class Mapping:
     """Base class: an evaluatable operator with optional known structure."""
 
     dim = None
+    #: read only by perfbench's TimedMapping, which copies it
     lipschitz_hint = None
     known_solutions = ()
     known_dual_solutions = ()
-    #: bounded box used when sampling checks get an unbounded domain
+    #: read only by perfbench's TimedMapping, which copies it
     default_window = None
 
     def __call__(self, x):
@@ -73,12 +72,11 @@ class SinePlusOne(Mapping):
     """F(z) = 1 + sin(z), nonnegative and globally 1-Lipschitz."""
 
     dim = 1
-    # zeros 3*pi/2 + 2*k*pi; the stored prefix covers the default window
+    # zeros 3*pi/2 + 2*k*pi; the stored prefix covers [0, 8*pi]
     known_solutions = _scalar_solutions(
         [0.0] + [2.0 * k * np.pi + 1.5 * np.pi for k in range(5)]
     )
     known_dual_solutions = _scalar_solutions([0.0])
-    default_window = Box(0.0, 8.0 * np.pi)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -168,82 +166,47 @@ power_iteration_gram_norm = gram_norm
 
 
 @dataclass(frozen=True)
-class QuasimonotoneReport:
-    """Outcome of the sampled quasimonotonicity check."""
+class HypothesisReport:
+    """Sampled evidence on the two hypotheses of the convergence results.
 
-    pairs: int
-    seed: int
-    tolerance: float
+    ``violations`` counts the sampled pairs that break quasimonotonicity and
+    ``witnesses`` holds the first ten of them as (u, z). ``lipschitz`` is the
+    largest sampled ratio ||F(u)-F(z)|| / ||u-z||, a lower bound on L.
+    """
+
     violations: int
     witnesses: tuple
-
-    @property
-    def ok(self):
-        return self.violations == 0
+    lipschitz: float
 
 
 _QM_TOL = 1e-12  # dead zone: the defining implication uses strict inequalities
 
 
-def _sampling_box(f, domain):
-    if domain.is_bounded:
-        return domain
-    default = getattr(f, "default_window", None)
-    if default is not None:
-        return default
-    raise ValueError("unbounded domain and the operator has no default_window")
+def check_hypotheses(f, box, pairs, seed):
+    """Sample (u, z) pairs from a bounded box; test quasimonotonicity and bound L.
 
-
-def _eval_batch(f, points):
-    out = np.asarray(f(points), dtype=np.float64)
-    if out.shape != points.shape:
-        raise ValueError(
-            f"operator returned shape {out.shape} for batch {points.shape}"
-        )
-    return out
-
-
-def check_quasimonotone(f, domain, pairs, seed, tolerance=_QM_TOL):
-    """Sample (u, z) pairs and test <F(u), z-u> > 0  =>  <F(z), z-u> >= 0.
-
-    Reports every sampled pair where the premise holds beyond the dead zone
-    while the conclusion fails beyond it. Genuinely quasimonotone mappings
-    produce zero violations.
+    A violation is a pair where the premise of <F(u), z-u> > 0  =>
+    <F(z), z-u> >= 0 holds beyond the dead zone while the conclusion fails
+    beyond it; genuinely quasimonotone mappings produce none.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    box = _sampling_box(f, domain)
     rng = np.random.default_rng(seed)
     u = box.sample(pairs, rng)
     z = box.sample(pairs, rng)
-    fu = _eval_batch(f, u)
-    fz = _eval_batch(f, z)
+    fu = np.asarray(f(u), dtype=np.float64)
+    fz = np.asarray(f(z), dtype=np.float64)
+    for out in (fu, fz):
+        if out.shape != u.shape:
+            raise ValueError(f"operator returned shape {out.shape} for batch {u.shape}")
     d = z - u
-    premise = np.einsum("ij,ij->i", fu, d)
-    conclusion = np.einsum("ij,ij->i", fz, d)
-    bad = (premise > tolerance) & (conclusion < -tolerance)
-    idx = np.flatnonzero(bad)
-    witnesses = tuple((u[i].copy(), z[i].copy()) for i in idx[:10])
-    return QuasimonotoneReport(
-        pairs=pairs,
-        seed=seed,
-        tolerance=tolerance,
-        violations=int(bad.sum()),
-        witnesses=witnesses,
-    )
-
-
-def lipschitz_estimate(f, domain, pairs, seed):
-    """Max sampled ratio ||F(u)-F(z)|| / ||u-z||; a lower bound on L."""
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
-    box = _sampling_box(f, domain)
-    rng = np.random.default_rng(seed)
-    u = box.sample(pairs, rng)
-    z = box.sample(pairs, rng)
-    du = np.linalg.norm(u - z, axis=1)
-    keep = du > 0
+    dist = np.linalg.norm(d, axis=1)
+    keep = dist > 0
     if not np.any(keep):
         raise ValueError("no sampled pair has u != z")
-    df = np.linalg.norm(_eval_batch(f, u) - _eval_batch(f, z), axis=1)
-    return float(np.max(df[keep] / du[keep]))
+    premise = np.einsum("ij,ij->i", fu, d)
+    conclusion = np.einsum("ij,ij->i", fz, d)
+    bad = (premise > _QM_TOL) & (conclusion < -_QM_TOL)
+    witnesses = tuple((u[i].copy(), z[i].copy()) for i in np.flatnonzero(bad)[:10])
+    ratios = np.linalg.norm(fu - fz, axis=1)[keep] / dist[keep]
+    return HypothesisReport(int(bad.sum()), witnesses, float(np.max(ratios)))

@@ -34,6 +34,13 @@ def test_gen_recovery_zero_sparsity():
     assert np.all(inst.observed == 0.0)
 
 
+def test_each_scalar_problem_is_built_once():
+    for build in PROBLEMS.values():
+        f, box = build()
+        again = build()
+        assert again[0] is f and again[1] is box
+
+
 def test_gen_recovery_deterministic():
     a = gen_recovery(32, 64, 5, seed=11)
     b = gen_recovery(32, 64, 5, seed=11)
@@ -203,8 +210,8 @@ def test_run_recovery_small_case():
     inst = gen_recovery(64, 128, 5, seed=4)
     out = run_recovery(inst)
     assert out.result.status == "converged"
-    assert out.mse_series[-1] < 1e-6
-    assert out.mse_series.shape == (out.result.iterations,)
+    assert out.result.trace.errors[-1] < 1e-6
+    assert out.result.trace.errors.shape == (out.result.iterations,)
     # every planted spike is recovered with the right sign
     support = np.flatnonzero(inst.signal)
     final = out.result.final_point
@@ -218,7 +225,7 @@ def test_run_recovery_zero_signal_converges_immediately():
     out = run_recovery(inst)
     assert out.result.iterations == 1
     assert out.result.status == "converged"
-    assert out.mse_series[-1] == 0.0
+    assert out.result.trace.errors[-1] == 0.0
 
 
 def test_run_recovery_deterministic():
@@ -226,7 +233,7 @@ def test_run_recovery_deterministic():
     first = run_recovery(inst)
     second = run_recovery(inst)
     assert first.result.iterations == second.result.iterations
-    np.testing.assert_array_equal(first.mse_series, second.mse_series)
+    np.testing.assert_array_equal(first.result.trace.errors, second.result.trace.errors)
     np.testing.assert_array_equal(first.result.final_point, second.result.final_point)
 
 

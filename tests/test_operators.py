@@ -14,10 +14,9 @@ from qvi import (
     LeastSquares,
     PiecewiseQuad,
     SinePlusOne,
-    check_quasimonotone,
+    check_hypotheses,
     gen_recovery,
     gram_norm,
-    lipschitz_estimate,
 )
 
 THREE_HALF_PI = 4.712388980384690  # 3*pi/2
@@ -128,23 +127,23 @@ def test_sine_nonnegative_and_zero_lattice_by_bisection():
 
 
 def test_quasimonotone_cubic_clean():
-    report = check_quasimonotone(CubicQuasi(), Box(-1.0, 1.0), pairs=10_000, seed=1)
-    assert report.ok and report.violations == 0
+    report = check_hypotheses(CubicQuasi(), Box(-1.0, 1.0), pairs=10_000, seed=1)
+    assert report.violations == 0 and report.witnesses == ()
 
 
 def test_quasimonotone_sine_clean():
-    report = check_quasimonotone(SinePlusOne(), Box(0.0, 20.0), pairs=10_000, seed=1)
+    report = check_hypotheses(SinePlusOne(), Box(0.0, 20.0), pairs=10_000, seed=1)
     assert report.violations == 0
 
 
 def test_quasimonotone_piecewise_clean():
-    report = check_quasimonotone(PiecewiseQuad(), Box(-1.0, 1.0), pairs=10_000, seed=1)
+    report = check_hypotheses(PiecewiseQuad(), Box(-1.0, 1.0), pairs=10_000, seed=1)
     assert report.violations == 0
 
 
 def test_quasimonotone_negative_control():
     f = NegIdentity()
-    report = check_quasimonotone(f, Box(-1.0, 1.0), pairs=10_000, seed=1)
+    report = check_hypotheses(f, Box(-1.0, 1.0), pairs=10_000, seed=1)
     assert report.violations > 0
     # analytic witness: u=0.5, z=-0.5 has <F(u), z-u> = 0.5 and <F(z), z-u> = -0.5
     assert (-0.5) * (-1.0) > 0 and (0.5) * (-1.0) < 0
@@ -165,36 +164,38 @@ def test_quasimonotone_negative_control():
     assert count == report.violations
 
 
-def test_quasimonotone_unbounded_domain_needs_window():
-    class NoWindow:
-        def __call__(self, x):
-            return np.asarray(x, dtype=np.float64)
-
-    with pytest.raises(ValueError):
-        check_quasimonotone(NoWindow(), Box(0.0, np.inf), pairs=10, seed=0)
-    # the sine operator carries a default window, which sampling falls back to
-    report = check_quasimonotone(SinePlusOne(), Box(0.0, np.inf), pairs=100, seed=0)
-    assert report.violations == 0
+def test_hypotheses_check_rejects_an_unbounded_box():
+    with pytest.raises(ValueError, match="unbounded"):
+        check_hypotheses(SinePlusOne(), Box(0.0, np.inf), pairs=100, seed=0)
 
 
-def test_lipschitz_estimates_scalar():
-    est = lipschitz_estimate(CubicQuasi(), Box(-1.0, 1.0), pairs=10_000, seed=1)
-    assert 0.9 < est <= 1.0
-    est = lipschitz_estimate(SinePlusOne(), Box(0.0, 20.0), pairs=10_000, seed=1)
-    assert 0.9 < est <= 1.0
+@pytest.mark.parametrize(
+    "f, box",
+    [
+        (CubicQuasi(), Box(-1.0, 1.0)),
+        (SinePlusOne(), Box(0.0, 20.0)),
+        (PiecewiseQuad(), Box(-1.0, 1.0)),
+    ],
+    ids=["cubic", "sine", "piecewise"],
+)
+def test_lipschitz_estimates_scalar(f, box):
+    report = check_hypotheses(f, box, pairs=10_000, seed=1)
+    lipschitz = f.lipschitz_on(float(box.lo[0]), float(box.hi[0]))
+    assert 0.9 * lipschitz < report.lipschitz <= lipschitz
 
 
 def test_lipschitz_estimate_on_a_one_point_box_is_rejected():
+    # with u == z for every pair neither hypothesis can be sampled
     with pytest.raises(ValueError, match="no sampled pair has u != z"):
-        lipschitz_estimate(CubicQuasi(), Box(0.5, 0.5), pairs=100, seed=0)
+        check_hypotheses(CubicQuasi(), Box(0.5, 0.5), pairs=100, seed=0)
 
 
 def test_lipschitz_estimate_least_squares_below_gram_norm():
     inst = gen_recovery(20, 40, 5, seed=9)
     f = LeastSquares(inst.mat, inst.observed)
     box = Box(np.full(40, -2.0), np.full(40, 2.0))
-    est = lipschitz_estimate(f, box, pairs=2000, seed=1)
-    assert est <= gram_norm(inst.mat) + 1e-9
+    report = check_hypotheses(f, box, pairs=2000, seed=1)
+    assert report.lipschitz <= gram_norm(inst.mat) + 1e-9
 
 
 def test_power_iteration_matches_dense_eigensolver():
@@ -303,6 +304,6 @@ def test_nearest_solution_tie_takes_the_first():
     assert cubic.nearest_solution([-0.5])[0] == -1.0
 
 
-def test_check_quasimonotone_validation():
-    with pytest.raises(ValueError):
-        check_quasimonotone(CubicQuasi(), Box(-1.0, 1.0), pairs=0, seed=0)
+def test_check_hypotheses_validation():
+    with pytest.raises(ValueError, match="pairs must be >= 1"):
+        check_hypotheses(CubicQuasi(), Box(-1.0, 1.0), pairs=0, seed=0)

@@ -1,10 +1,15 @@
 """Command-line front end: experiment dispatch, CSV and SVG emission.
 
-Commands: solve, table1, table2, recovery, rates, ratio, certify. The fields
-of RunConfig are the one place where an option is defined: each states its
-default, its per-command defaults, its flag and the commands that take it,
-and the parser, the defaults and the config-file type check are read from
-them. A flat JSON config file may supply any field, with explicit flags
+Commands: solve, table1, table2, recovery, rates, ratio, certify. Each
+command only computes: it returns an Output holding its CSV name, header and
+rows, its summary and its plots. `main` is the one writer: it writes the CSV
+under --out, each SVG under --plot, and prints the summary followed by
+` -> <csv path>`.
+
+The fields of RunConfig are the one place where an option is defined: each
+states its default, its per-command defaults, its flag and the commands that
+read it, and the parser, the defaults and the config-file type check are read
+from them. A flat JSON config file may supply any field, with explicit flags
 taking precedence. The environment variable QVI_SEED provides the seed when
 no flag or file value is given.
 
@@ -19,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,21 +53,25 @@ def _option(default, commands=COMMANDS, *, flag=None, help=None, choices=None, *
     return field(default=default, metadata=meta)
 
 
+#: the commands that run the solver, and so read the six solver flags
+_SOLVING = ("solve", "table1", "table2", "recovery", "rates", "ratio")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    lambda1: float = _option(1.0, recovery=0.1)
-    mu: float = _option(0.3, table2=0.5)
-    xi_scale: float = _option(100.0)
-    xi_exp: float = _option(1.1)
+    lambda1: float = _option(1.0, _SOLVING, recovery=0.1)
+    mu: float = _option(0.3, _SOLVING, table2=0.5)
+    xi_scale: float = _option(100.0, _SOLVING)
+    xi_exp: float = _option(1.1, _SOLVING)
     tol: tuple = _option(
-        (1e-6,), help="stopping tolerance; repeat for several columns",
+        (1e-6,), _SOLVING, help="stopping tolerance; repeat for several columns",
         table1=(1e-6, 1e-8), table2=(1e-6, 1e-8),
     )
-    max_iters: int = _option(500, recovery=2000, ratio=2000)
-    seed: int = _option(0)
+    max_iters: int = _option(500, _SOLVING, recovery=2000, ratio=2000)
+    seed: int = _option(0, ("table1", "table2", "recovery", "certify"))
     out: str = _option(".", help="output directory")
-    plot: bool = _option(False)
+    plot: bool = _option(False, ("solve", "recovery", "rates", "ratio"))
     problem: str = _option(
         "cubic", ("solve", "rates", "ratio"), choices=sorted(experiments.PROBLEMS),
         table2="sine", ratio="piecewise",
@@ -234,25 +244,19 @@ def emit_csv(rows, schema, path):
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _outpath(cfg, name):
-    return os.path.join(cfg.out, name)
+class Output(NamedTuple):
+    """What a command produces; `main` writes it.
 
+    The CSV `csv` under --out holds `rows` below `header`; `plots` holds
+    (svg name, kind, series) triples for plots.emit_svg_plot, drawn under
+    --plot; `summary` is printed with the CSV path appended.
+    """
 
-def _scalar_trace_rows(result):
-    trace = result.trace
-    rows = []
-    for i in range(trace.iterations):
-        rows.append(
-            (
-                i + 1,
-                float(trace.u[i, 0]),
-                float(trace.z[i, 0]),
-                float(trace.lam[i]),
-                float(trace.errors[i]),
-                float(trace.residuals[i]),
-            )
-        )
-    return rows
+    csv: str
+    header: list
+    rows: list
+    summary: str
+    plots: tuple = ()
 
 
 def _run_scalar(cfg):
@@ -264,26 +268,18 @@ def _run_scalar(cfg):
 
 def _cmd_solve(cfg):
     _, result = _run_scalar(cfg)
-    path = _outpath(cfg, "solve.csv")
-    emit_csv(
-        _scalar_trace_rows(result),
+    trace, n = result.trace, result.iterations
+    columns = (trace.u[:n, 0], trace.z[:, 0], trace.lam[:n], trace.errors, trace.residuals)
+    idx = np.arange(1, n + 1)
+    keep = trace.errors > 0
+    return Output(
+        "solve.csv",
         ["n", "u", "z", "lambda", "error", "residual"],
-        path,
+        list(zip(idx.tolist(), *(c.tolist() for c in columns))),
+        f"solve: problem={cfg.problem} u1={cfg.u1:g} iterations={n} "
+        f"status={result.status} final={float(result.final_point[0]):.10g}",
+        [("solve_error.svg", "error_vs_iter_loglog", [("error", idx[keep], trace.errors[keep])])],
     )
-    if cfg.plot:
-        idx = np.arange(1, result.iterations + 1)
-        errs = result.trace.errors
-        keep = errs > 0
-        plots.emit_svg_plot(
-            [("error", idx[keep], errs[keep])],
-            "error_vs_iter_loglog",
-            _outpath(cfg, "solve_error.svg"),
-        )
-    print(
-        f"solve: problem={cfg.problem} u1={cfg.u1:g} iterations={result.iterations} "
-        f"status={result.status} final={float(result.final_point[0]):.10g} -> {path}"
-    )
-    return 0
 
 
 def _table_spec(cfg):
@@ -303,14 +299,12 @@ def _table_spec(cfg):
 
 def _cmd_table(cfg):
     rows = experiments.run_example_table(_table_spec(cfg))
-    path = _outpath(cfg, f"{cfg.command}.csv")
-    emit_csv(
-        [(r.u1, r.tol, r.iterations, r.cpu_seconds, r.limit) for r in rows],
+    return Output(
+        f"{cfg.command}.csv",
         ["u1", "tol", "iterations", "cpu_seconds", "limit"],
-        path,
+        [(r.u1, r.tol, r.iterations, r.cpu_seconds, r.limit) for r in rows],
+        f"{cfg.command}: {len(rows)} rows",
     )
-    print(f"{cfg.command}: {len(rows)} rows -> {path}")
-    return 0
 
 
 def _cmd_recovery(cfg):
@@ -319,40 +313,24 @@ def _cmd_recovery(cfg):
     t0 = time.perf_counter()
     out = experiments.run_recovery(instance, solver_cfg)
     cpu = time.perf_counter() - t0
-    ratio_by_n = dict(zip(out.ratio_series.index.tolist(), out.ratio_series.values))
-    rows = [
-        (i + 1, float(out.result.trace.errors[i]), ratio_by_n.get(i + 1))
-        for i in range(out.result.iterations)
-    ]
-    path = _outpath(cfg, "recovery.csv")
-    emit_csv(rows, ["n", "mse", "ratio"], path)
-    if cfg.plot:
-        idx = np.arange(1, out.result.iterations + 1)
-        plots.emit_svg_plot(
-            [("mse", idx, out.result.trace.errors)],
-            "error_vs_iter_loglog",
-            _outpath(cfg, "recovery_error.svg"),
-        )
-        plots.emit_svg_plot(
-            [("ratio", out.ratio_series.index, out.ratio_series.values)],
-            "ratio_vs_iter",
-            _outpath(cfg, "recovery_ratio.svg"),
-        )
-        coords = np.arange(instance.signal.shape[0])
-        plots.emit_svg_plot(
-            [
-                ("original", coords, instance.signal),
-                ("recovered", coords, out.result.final_point),
-            ],
-            "signal_stem",
-            _outpath(cfg, "recovery_signals.svg"),
-        )
-    print(
+    result, series = out.result, out.ratio_series
+    ratio_by_n = dict(zip(series.index.tolist(), series.values.tolist()))
+    idx = np.arange(1, result.iterations + 1)
+    coords = np.arange(instance.signal.shape[0])
+    signals = [("original", coords, instance.signal), ("recovered", coords, result.final_point)]
+    return Output(
+        "recovery.csv",
+        ["n", "mse", "ratio"],
+        [(n, mse, ratio_by_n.get(n)) for n, mse in zip(idx.tolist(), result.trace.errors.tolist())],
         f"recovery: M={cfg.m} N={cfg.n} K={cfg.k} seed={cfg.seed} "
-        f"iterations={out.result.iterations} status={out.result.status} "
-        f"final_mse={float(out.result.trace.errors[-1]):.6g} cpu={cpu:.3f}s -> {path}"
+        f"iterations={result.iterations} status={result.status} "
+        f"final_mse={float(result.trace.errors[-1]):.6g} cpu={cpu:.3f}s",
+        [
+            ("recovery_error.svg", "error_vs_iter_loglog", [("mse", idx, result.trace.errors)]),
+            ("recovery_ratio.svg", "ratio_vs_iter", [("ratio", series.index, series.values)]),
+            ("recovery_signals.svg", "signal_stem", signals),
+        ],
     )
-    return 0
 
 
 def _cmd_rates(cfg):
@@ -362,19 +340,17 @@ def _cmd_rates(cfg):
     keep = errors > 0
     idx = np.arange(1, errors.shape[0] + 1)[keep]
     errors = errors[keep]
+    if errors.size < cfg.tail_window:
+        raise ValueError(f"--tail-window {cfg.tail_window} exceeds the run's {errors.size} nonzero errors")
     estimate = diagnostics.estimate_rates(errors, tail_window=cfg.tail_window)
-    path = _outpath(cfg, "rates.csv")
-    emit_csv(list(zip(idx, errors)), ["n", "error"], path)
-    if cfg.plot:
-        plots.emit_svg_plot(
-            [("error", idx, errors)], "error_vs_iter_loglog", _outpath(cfg, "rates.svg")
-        )
-    print(
+    return Output(
+        "rates.csv",
+        ["n", "error"],
+        list(zip(idx.tolist(), errors.tolist())),
         f"rates: problem={cfg.problem} u1={cfg.u1:g} q_factor={estimate.q_factor:.6g} "
-        f"sublinear_order={estimate.sublinear_order:.6g} "
-        f"tail_window={estimate.tail_window} -> {path}"
+        f"sublinear_order={estimate.sublinear_order:.6g} tail_window={estimate.tail_window}",
+        [("rates.svg", "error_vs_iter_loglog", [("error", idx, errors)])],
     )
-    return 0
 
 
 def _cmd_ratio(cfg):
@@ -384,19 +360,14 @@ def _cmd_ratio(cfg):
     else:
         reference = f.nearest_solution(result.final_point)
     series = diagnostics.ratio_series(result.trace, f, reference, eps=1.0)
-    path = _outpath(cfg, "ratio.csv")
-    emit_csv(list(zip(series.index, series.values)), ["n", "ratio"], path)
-    if cfg.plot:
-        plots.emit_svg_plot(
-            [("ratio", series.index, series.values)],
-            "ratio_vs_iter",
-            _outpath(cfg, "ratio.svg"),
-        )
-    print(
+    return Output(
+        "ratio.csv",
+        ["n", "ratio"],
+        list(zip(series.index.tolist(), series.values.tolist())),
         f"ratio: problem={cfg.problem} u1={cfg.u1:g} ref={float(reference[0]):g} "
-        f"retained={series.values.size} min={series.min_ratio:.6g} -> {path}"
+        f"retained={series.values.size} min={series.min_ratio:.6g}",
+        [("ratio.svg", "ratio_vs_iter", [("ratio", series.index, series.values)])],
     )
-    return 0
 
 
 def _certificate_sets():
@@ -414,10 +385,15 @@ def _cmd_certify(cfg):
         cert = diagnostics.build_separation_certificate(pts)
         ok = diagnostics.verify_disjointness(cert, samples=10_000, seed=cfg.seed)
         rows.append((name, pts.shape[0], cert.delta, ok))
-        print(f"certify: {name} points={pts.shape[0]} delta={cert.delta:.6g} verified={ok}")
-    path = _outpath(cfg, "certify.csv")
-    emit_csv(rows, ["set", "points", "delta", "verified"], path)
-    return 0
+    return Output(
+        "certify.csv",
+        ["set", "points", "delta", "verified"],
+        rows,
+        "\n".join(
+            f"certify: {name} points={points} delta={delta:.6g} verified={ok}"
+            for name, points, delta, ok in rows
+        ),
+    )
 
 
 _DISPATCH = {
@@ -438,7 +414,14 @@ def main(argv=None):
             os.makedirs(cfg.out, exist_ok=True)
         except OSError as exc:
             raise ValueError(f"--out {cfg.out}: cannot create the output directory: {exc}") from exc
-        return _DISPATCH[cfg.command](cfg)
+        out = _DISPATCH[cfg.command](cfg)
+        path = os.path.join(cfg.out, out.csv)
+        emit_csv(out.rows, out.header, path)
+        if cfg.plot:
+            for name, kind, series in out.plots:
+                plots.emit_svg_plot(series, kind, os.path.join(cfg.out, name))
+        print(f"{out.summary} -> {path}")
+        return 0
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -43,15 +43,15 @@ class _Canvas:
     def y_px(self, t):
         return self.y0 + (1.0 - t) * self.h
 
-    def line(self, x1, y1, x2, y2, color="#444", width=1.0):
+    def line(self, x1, y1, x2, y2, color="#444"):
         self.parts.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
+            f'stroke="{color}" stroke-width="1.0"/>'
         )
 
-    def text(self, x, y, s, anchor="middle", size=12):
+    def text(self, x, y, s, anchor="middle"):
         self.parts.append(
-            f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" '
+            f'<text x="{x:.2f}" y="{y:.2f}" font-size="12" '
             f'font-family="sans-serif" text-anchor="{anchor}">{s}</text>'
         )
 
@@ -62,17 +62,17 @@ class _Canvas:
         )
 
 
-def _axes(canvas, xticks, yticks, xvals, yvals, xlabel, ylabel, xfmt, yfmt):
+def _axes(canvas, xticks, yticks, xvals, yvals, xlabel, ylabel):
     canvas.line(canvas.x0, canvas.y0, canvas.x0, canvas.y0 + canvas.h)
     canvas.line(canvas.x0, canvas.y0 + canvas.h, canvas.x0 + canvas.w, canvas.y0 + canvas.h)
     for t, v in zip(xticks, xvals):
         px = canvas.x_px(t)
         canvas.line(px, canvas.y0 + canvas.h, px, canvas.y0 + canvas.h + 4)
-        canvas.text(px, canvas.y0 + canvas.h + 18, xfmt(v))
+        canvas.text(px, canvas.y0 + canvas.h + 18, _fmt(v))
     for t, v in zip(yticks, yvals):
         py = canvas.y_px(t)
         canvas.line(canvas.x0 - 4, py, canvas.x0, py)
-        canvas.text(canvas.x0 - 8, py + 4, yfmt(v), anchor="end")
+        canvas.text(canvas.x0 - 8, py + 4, _fmt(v), anchor="end")
     canvas.text(canvas.x0 + canvas.w / 2, canvas.y0 + canvas.h + 38, xlabel)
     canvas.text(canvas.x0 - 52, canvas.y0 - 10, ylabel, anchor="start")
 
@@ -82,53 +82,38 @@ def _norm(vals, lo, hi):
     return (np.asarray(vals, dtype=np.float64) - lo) / span
 
 
-def _line_plot(series, logx, logy, xlabel, ylabel):
+def _ticks(lo, hi, log):
+    """Tick positions on the plotted scale and the values they label."""
+    if log:
+        ticks = _decade_ticks(lo, hi)
+        return ticks, [10.0**t for t in ticks]
+    ticks = _linear_ticks(lo, hi)
+    return ticks, ticks
+
+
+def _line_plot(series, log, ylabel):
+    """Line plot against iteration; under `log` both axes are log10."""
     canvas = _Canvas(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB)
-    xs_all, ys_all = [], []
     clean = []
     for label, x, y in series:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         keep = np.isfinite(x) & np.isfinite(y)
-        if logx:
-            keep &= x > 0
-        if logy:
-            keep &= y > 0
+        if log:
+            keep &= (x > 0) & (y > 0)
         x, y = x[keep], y[keep]
         if x.size == 0:
             raise ValueError(f"series {label!r} has no plottable points")
-        if logx:
-            x = np.log10(x)
-        if logy:
-            y = np.log10(y)
+        if log:
+            x, y = np.log10(x), np.log10(y)
         clean.append((label, x, y))
-        xs_all.append(x)
-        ys_all.append(y)
-    xlo = min(x.min() for x in xs_all)
-    xhi = max(x.max() for x in xs_all)
-    ylo = min(y.min() for y in ys_all)
-    yhi = max(y.max() for y in ys_all)
-    if logx:
-        xt = _decade_ticks(xlo, xhi)
-        xtv = [10.0**t for t in xt]
-    else:
-        xt = xtv = _linear_ticks(xlo, xhi)
-    if logy:
-        yt = _decade_ticks(ylo, yhi)
-        ytv = [10.0**t for t in yt]
-    else:
-        yt = ytv = _linear_ticks(ylo, yhi)
-    _axes(
-        canvas,
-        _norm(xt, xlo, xhi),
-        _norm(yt, ylo, yhi),
-        xtv,
-        ytv,
-        xlabel,
-        ylabel,
-        _fmt,
-        _fmt,
-    )
+    xlo = min(x.min() for _, x, _ in clean)
+    xhi = max(x.max() for _, x, _ in clean)
+    ylo = min(y.min() for _, _, y in clean)
+    yhi = max(y.max() for _, _, y in clean)
+    xt, xtv = _ticks(xlo, xhi, log)
+    yt, ytv = _ticks(ylo, yhi, log)
+    _axes(canvas, _norm(xt, xlo, xhi), _norm(yt, ylo, yhi), xtv, ytv, "iteration", ylabel)
     for idx, (label, x, y) in enumerate(clean):
         color = _COLORS[idx % len(_COLORS)]
         canvas.polyline(canvas.x_px(_norm(x, xlo, xhi)), canvas.y_px(_norm(y, ylo, yhi)), color)
@@ -152,13 +137,13 @@ def _stem_panels(series):
         ylo, yhi = -1.1 * ymax, 1.1 * ymax
         xt = _linear_ticks(xlo, xhi)
         yt = _linear_ticks(ylo, yhi, 3)
-        _axes(canvas, _norm(xt, xlo, xhi), _norm(yt, ylo, yhi), xt, yt, "", "", _fmt, _fmt)
+        _axes(canvas, _norm(xt, xlo, xhi), _norm(yt, ylo, yhi), xt, yt, "", "")
         base = canvas.y_px(_norm([0.0], ylo, yhi)[0])
         color = _COLORS[idx % len(_COLORS)]
         for xi_px, yi_px in zip(
             canvas.x_px(_norm(x, xlo, xhi)), canvas.y_px(_norm(y, ylo, yhi))
         ):
-            canvas.line(xi_px, base, xi_px, yi_px, color=color, width=1.0)
+            canvas.line(xi_px, base, xi_px, yi_px, color=color)
         canvas.text(_ML + 6, y0 + 14, label, anchor="start")
         parts.extend(canvas.parts)
     return parts
@@ -176,9 +161,9 @@ def emit_svg_plot(series, kind, path):
     if not series:
         raise ValueError("series must be nonempty")
     if kind == "error_vs_iter_loglog":
-        parts = _line_plot(series, True, True, "iteration", "error")
+        parts = _line_plot(series, True, "error")
     elif kind == "ratio_vs_iter":
-        parts = _line_plot(series, False, False, "iteration", "ratio")
+        parts = _line_plot(series, False, "ratio")
     else:
         parts = _stem_panels(series)
     body = "\n".join(parts)

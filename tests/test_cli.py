@@ -45,19 +45,18 @@ def test_recovery_case_flags():
     assert (cfg.m, cfg.n, cfg.k, cfg.seed) == (512, 1024, 60, 3)
 
 
-_COMMON_FLAGS = [
-    "-h", "--config", "--lambda1", "--mu", "--xi-scale", "--xi-exp", "--tol",
-    "--max-iters", "--seed", "--out", "--plot",
+_SOLVER_FLAGS = [
+    "-h", "--config", "--lambda1", "--mu", "--xi-scale", "--xi-exp", "--tol", "--max-iters",
 ]
 #: the flags each command takes, in the order its --help lists them
 _FLAGS = {
-    "solve": _COMMON_FLAGS + ["--problem", "--u1"],
-    "table1": _COMMON_FLAGS + ["--random-rows"],
-    "table2": _COMMON_FLAGS + ["--random-rows"],
-    "recovery": _COMMON_FLAGS + ["--M", "--N", "--K"],
-    "rates": _COMMON_FLAGS + ["--problem", "--u1", "--tail-window"],
-    "ratio": _COMMON_FLAGS + ["--problem", "--u1", "--ref"],
-    "certify": _COMMON_FLAGS,
+    "solve": _SOLVER_FLAGS + ["--out", "--plot", "--problem", "--u1"],
+    "table1": _SOLVER_FLAGS + ["--seed", "--out", "--random-rows"],
+    "table2": _SOLVER_FLAGS + ["--seed", "--out", "--random-rows"],
+    "recovery": _SOLVER_FLAGS + ["--seed", "--out", "--plot", "--M", "--N", "--K"],
+    "rates": _SOLVER_FLAGS + ["--out", "--plot", "--problem", "--u1", "--tail-window"],
+    "ratio": _SOLVER_FLAGS + ["--out", "--plot", "--problem", "--u1", "--ref"],
+    "certify": ["-h", "--config", "--seed", "--out"],
 }
 #: a value for each flag that differs from every command's default
 _NON_DEFAULT = {
@@ -75,6 +74,18 @@ def test_help_lists_each_commands_flags(capsys):
             main([command, "--help"])
         help_text = capsys.readouterr().out
         assert re.findall(r"^  (-[-\w]+)", help_text, re.MULTILINE) == flags, command
+    assert sum(len(flags) - 2 for flags in _FLAGS.values()) == 64
+
+
+@pytest.mark.parametrize(
+    "argv", [["certify", "--tol", "5"], ["table1", "--plot"], ["solve", "--seed", "3"]]
+)
+def test_a_flag_the_command_does_not_read_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[1] in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_round_trip(tmp_path):
@@ -166,7 +177,7 @@ def test_out_of_range_values_are_named():
     for bad in ("inf", "-inf", "nan"):
         with pytest.raises(ValueError, match="ref must be finite"):
             parse_config(["ratio", f"--ref={bad}"])
-    for command in _FLAGS:
+    for command in (c for c, flags in _FLAGS.items() if "--seed" in flags):
         with pytest.raises(ValueError, match="seed must be nonnegative"):
             parse_config([command, "--seed", "-1"])
 
@@ -250,6 +261,44 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _column(rows, name, kind=float):
+    return [kind(r[name]) for r in rows]
+
+
+def _library_scalar_run(problem, u1, max_iters=500):
+    """The solve a scalar command runs, called through the library at its defaults."""
+    f, box = getattr(qvi, f"{problem}_problem")()
+    cfg = qvi.SolverConfig(stop=qvi.SquaredStep(1e-6 * 1e-6), max_iters=max_iters)
+    return f, qvi.solve(f, box, u1, cfg)
+
+
+#: the extra arguments each command is run with, and the files it leaves in --out
+_OUTPUTS = {
+    "solve": (["--plot"], ["solve.csv", "solve_error.svg"]),
+    "table1": ([], ["table1.csv"]),
+    "table2": ([], ["table2.csv"]),
+    "recovery": (
+        ["--M", "32", "--N", "64", "--K", "4", "--seed", "8", "--plot"],
+        ["recovery.csv", "recovery_error.svg", "recovery_ratio.svg", "recovery_signals.svg"],
+    ),
+    "rates": (["--plot"], ["rates.csv", "rates.svg"]),
+    "ratio": (["--plot"], ["ratio.csv", "ratio.svg"]),
+    "certify": ([], ["certify.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", _OUTPUTS)
+def test_each_command_writes_its_files_and_prints_its_csv_path(tmp_path, capsys, command):
+    extra, files = _OUTPUTS[command]
+    assert main([command, *extra, "--out", str(tmp_path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].endswith(f" -> {tmp_path / files[0]}")
+    assert not any(" -> " in line for line in lines[:-1])
+    for name in files[1:]:
+        assert ET.parse(tmp_path / name).getroot().tag.endswith("svg")
+
+
 def test_table1_command(tmp_path, capsys):
     assert main(["table1", "--out", str(tmp_path)]) == 0
     rows = _read_csv(tmp_path / "table1.csv")
@@ -269,6 +318,14 @@ def test_solve_command_with_plot(tmp_path):
     assert svg.exists()
     root = ET.parse(svg).getroot()
     assert root.tag.endswith("svg")
+    _, result = _library_scalar_run("cubic", 0.6)
+    trace, n = result.trace, result.iterations
+    assert _column(rows, "n", int) == list(range(1, n + 1))
+    assert _column(rows, "u") == trace.u[:n, 0].tolist()
+    assert _column(rows, "z") == trace.z[:, 0].tolist()
+    assert _column(rows, "lambda") == trace.lam[:n].tolist()
+    assert _column(rows, "error") == trace.errors.tolist()
+    assert _column(rows, "residual") == trace.residuals.tolist()
 
 
 def test_recovery_command(tmp_path):
@@ -283,14 +340,44 @@ def test_recovery_command(tmp_path):
     for name in ("recovery_error.svg", "recovery_ratio.svg", "recovery_signals.svg"):
         assert (tmp_path / name).exists()
         ET.parse(tmp_path / name)
+    instance = qvi.gen_recovery(32, 64, 4, 8)
+    cfg = qvi.SolverConfig(
+        lambda1=0.1, stop=qvi.MseToReference(instance.signal, 1e-6), max_iters=2000
+    )
+    out = qvi.run_recovery(instance, cfg)
+    assert _column(rows, "n", int) == list(range(1, out.result.iterations + 1))
+    assert _column(rows, "mse") == out.result.trace.errors.tolist()
+    with_ratio = [r for r in rows if r["ratio"]]
+    assert _column(with_ratio, "n", int) == out.ratio_series.index.tolist()
+    assert _column(with_ratio, "ratio") == out.ratio_series.values.tolist()
 
 
 def test_rates_command(tmp_path, capsys):
     assert main(["rates", "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "q_factor=" in out
+    assert os.listdir(tmp_path) == ["rates.csv"]  # no SVG without --plot
     rows = _read_csv(tmp_path / "rates.csv")
     assert set(rows[0]) == {"n", "error"}
+    f, result = _library_scalar_run("cubic", 0.6)
+    errors = np.linalg.norm(result.trace.u - f.nearest_solution(result.final_point), axis=1)
+    (nonzero,) = np.nonzero(errors)
+    assert _column(rows, "n", int) == (nonzero + 1).tolist()
+    assert _column(rows, "error") == errors[nonzero].tolist()
+    estimate = qvi.estimate_rates(np.array(_column(rows, "error")), tail_window=20)
+    assert f"q_factor={estimate.q_factor:.6g} sublinear_order={estimate.sublinear_order:.6g}" in out
+
+
+@pytest.mark.parametrize("problem, u1, nonzero", [("sine", "2.0", 15), ("cubic", "3.0", 4)])
+def test_rates_on_a_run_shorter_than_the_tail_window_names_the_flag(
+    tmp_path, capsys, problem, u1, nonzero
+):
+    argv = ["rates", "--problem", problem, "--u1", u1, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: --tail-window 20 exceeds the run's {nonzero} nonzero errors\n"
+    assert os.listdir(tmp_path) == []
+    assert main(argv + ["--tail-window", str(nonzero)]) == 0
 
 
 def test_ratio_command(tmp_path, capsys):
@@ -299,6 +386,10 @@ def test_ratio_command(tmp_path, capsys):
     assert set(rows[0]) == {"n", "ratio"}
     values = np.array([float(r["ratio"]) for r in rows])
     np.testing.assert_allclose(values, 1.0, atol=1e-12)
+    f, result = _library_scalar_run("piecewise", 0.6, max_iters=2000)
+    series = qvi.ratio_series(result.trace, f, f.nearest_solution(result.final_point), eps=1.0)
+    assert _column(rows, "n", int) == series.index.tolist()
+    assert values.tolist() == series.values.tolist()
 
 
 def test_table_random_rows(tmp_path):
@@ -310,11 +401,13 @@ def test_table_random_rows(tmp_path):
     assert all(0.0 < v < 1.0 for v in extras)
 
 
-def test_certify_command(tmp_path):
+def test_certify_command(tmp_path, capsys):
     assert main(["certify", "--out", str(tmp_path)]) == 0
     rows = _read_csv(tmp_path / "certify.csv")
     assert len(rows) == 3
     assert all(r["verified"] == "True" for r in rows)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == [r["set"] for r in rows]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

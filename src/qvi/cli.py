@@ -10,8 +10,9 @@ The fields of RunConfig are the one place where an option is defined: each
 states its default, its per-command defaults, its flag and the commands that
 read it, and the parser, the defaults and the config-file type check are read
 from them. A flat JSON config file may supply any field, with explicit flags
-taking precedence. The environment variable QVI_SEED provides the seed when
-no flag or file value is given.
+taking precedence; every key is type-checked, but only the fields a command
+reads are range-checked. The environment variable QVI_SEED provides the seed
+of the commands that take --seed when no flag or file value is given.
 
 Exit codes: 0 success, 2 input error, 3 numeric failure.
 """
@@ -72,9 +73,11 @@ class RunConfig:
     seed: int = _option(0, ("table1", "table2", "recovery", "certify"))
     out: str = _option(".", help="output directory")
     plot: bool = _option(False, ("solve", "recovery", "rates", "ratio"))
+    # the tables solve `problem` without taking its flag; their per-command
+    # defaults mark it as read (see _reads)
     problem: str = _option(
         "cubic", ("solve", "rates", "ratio"), choices=sorted(experiments.PROBLEMS),
-        table2="sine", ratio="piecewise",
+        table1="cubic", table2="sine", ratio="piecewise",
     )
     u1: float = _option(0.6, ("solve", "rates", "ratio"))
     ref: float | None = _option(None, ("ratio",))
@@ -168,28 +171,37 @@ def _load_config_file(path):
 _FLAG_NAMES = {"scale": "xi-scale", "exponent": "xi-exp", "max_iters": "max-iters"}
 
 
-def _validate(cfg):
-    # the solver objects check their own parameters when they are built
-    try:
-        for tol in cfg.tol:
-            cfg.solver_config(SquaredStep(tol))
-    except ValueError as exc:
-        field_name, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{_FLAG_NAMES.get(field_name, field_name)} {rest}") from exc
-    if cfg.problem not in experiments.PROBLEMS:
-        raise ValueError(f"unknown problem {cfg.problem!r}; choose from {sorted(experiments.PROBLEMS)}")
-    if cfg.k < 0 or cfg.k > cfg.n:
-        raise ValueError("K must satisfy 0 <= K <= N")
-    if cfg.m < 1 or cfg.n < 1:
-        raise ValueError("M and N must be positive")
-    if cfg.random_rows < 0:
-        raise ValueError("random-rows must be nonnegative")
-    if cfg.tail_window < 3:
-        raise ValueError("tail-window must be at least 3")
-    if cfg.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if cfg.ref is not None and not math.isfinite(cfg.ref):
-        raise ValueError("ref must be finite")
+def _reads(command):
+    """Names of the fields `command` reads: its flags, and any field it has
+    its own default for."""
+    return {
+        f.name for f in _OPTIONS
+        if command in f.metadata["commands"] or command in f.metadata["per_command"]
+    }
+
+
+def _validate(cfg, reads):
+    if "tol" in reads:
+        # the solver objects check their own parameters when they are built
+        try:
+            for tol in cfg.tol:
+                cfg.solver_config(SquaredStep(tol))
+        except ValueError as exc:
+            field_name, _, rest = str(exc).partition(" ")
+            raise ValueError(f"{_FLAG_NAMES.get(field_name, field_name)} {rest}") from exc
+    checks = (
+        ("problem", cfg.problem in experiments.PROBLEMS,
+         f"unknown problem {cfg.problem!r}; choose from {sorted(experiments.PROBLEMS)}"),
+        ("k", 0 <= cfg.k <= cfg.n, "K must satisfy 0 <= K <= N"),
+        ("m", cfg.m >= 1 and cfg.n >= 1, "M and N must be positive"),
+        ("random_rows", cfg.random_rows >= 0, "random-rows must be nonnegative"),
+        ("tail_window", cfg.tail_window >= 3, "tail-window must be at least 3"),
+        ("seed", cfg.seed >= 0, "seed must be nonnegative"),
+        ("ref", cfg.ref is None or math.isfinite(cfg.ref), "ref must be finite"),
+    )
+    for name, ok, message in checks:
+        if name in reads and not ok:
+            raise ValueError(message)
 
 
 def parse_config(argv):
@@ -200,8 +212,9 @@ def parse_config(argv):
     given = _load_config_file(args.config) if args.config is not None else {}
     given.pop("command", None)
     given.update((key, value) for key, value in vars(args).items() if key in merged and value is not None)
+    reads = _reads(command)
     env = os.environ.get("QVI_SEED")
-    if "seed" not in given and env:
+    if "seed" not in given and env and "seed" in reads:
         try:
             given["seed"] = int(env)
         except ValueError as exc:
@@ -209,7 +222,7 @@ def parse_config(argv):
     merged.update(given)
     merged["tol"] = tuple(float(t) for t in np.atleast_1d(merged["tol"]))
     cfg = RunConfig(command=command, **merged)
-    _validate(cfg)
+    _validate(cfg, reads)
     return cfg
 
 

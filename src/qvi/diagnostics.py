@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import evaluate_batch
+
 
 @dataclass(eq=False)
 class RatioSeries:
@@ -53,18 +55,24 @@ class RateEstimate:
 _DIST_CUTOFF = 1e-14  # drop ratio entries where z_n has effectively landed
 
 
+def _steps(trace):
+    """Number of steps in a trace that has at least one."""
+    if trace is None or trace.z.shape[0] == 0:
+        raise ValueError("audit needs a trace with at least one step")
+    return trace.z.shape[0]
+
+
 def ratio_series(trace, f, reference, eps=1.0):
     """Ratios |<F(z_n), z_n - ref>| / ||z_n - ref||^(2+eps) along a trace.
 
     Entries with ||z_n - ref|| below _DIST_CUTOFF = 1e-14 are dropped to avoid 0/0.
     """
-    if trace is None or trace.z.shape[0] == 0:
-        raise ValueError("ratio series needs a trace with z iterates")
+    _steps(trace)
     if not 0 <= eps < np.inf:
         raise ValueError("eps must be nonnegative and finite")
     ref = np.atleast_1d(np.asarray(reference, dtype=np.float64))
     z = trace.z
-    fz = np.asarray(f(z), dtype=np.float64)
+    fz = evaluate_batch(f, z)
     diff = z - ref
     dist = np.linalg.norm(diff, axis=1)
     keep = dist >= _DIST_CUTOFF
@@ -85,13 +93,11 @@ def fejer_audit(trace, f, u, mu):
     whenever u is feasible and a dual solution. Returns the maximum of
     LHS - RHS over the trace; a correct run keeps this at rounding level.
     """
-    if trace is None or trace.z.shape[0] == 0:
-        raise ValueError("audit needs a trace with z iterates")
+    n = _steps(trace)
     u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    n = trace.z.shape[0]
     lam = trace.lam[:n]
     lam_next = trace.lam[1 : n + 1]
-    fz = np.asarray(f(trace.z), dtype=np.float64)
+    fz = evaluate_batch(f, trace.z)
     # one work buffer: ||u_k - u||^2 for all n+1 iterates, then its first n
     # rows for z_n - u_n and z_n - u
     w = np.subtract(trace.u[: n + 1], u)
@@ -129,7 +135,7 @@ def step_rule_slack(trace, cfg):
     lam_{n+1} ||F(u_n)-F(z_n)|| <= mu ||u_n-z_n||, evaluated on the norms
     the update itself used (recorded in the trace).
     """
-    n = trace.z.shape[0]
+    n = _steps(trace)
     lam = trace.lam[:n]
     lam_next = trace.lam[1 : n + 1]
     xi_vals = np.array([cfg.xi_params.value(k) for k in range(1, n + 1)])
@@ -146,9 +152,9 @@ def realized_lipschitz(trace, f):
     precision, so this can exceed the analytic Lipschitz constant by a few
     parts in 1e9; the step-size induction sees exactly these ratios.
     """
-    n = trace.z.shape[0]
-    fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
-    fz = np.asarray(f(trace.z), dtype=np.float64)
+    n = _steps(trace)
+    fu = evaluate_batch(f, trace.u[:n])
+    fz = evaluate_batch(f, trace.z)
     # row norms as sqrt of summed squares, which is what np.linalg.norm
     # computes along an axis, in one work buffer
     w = np.subtract(fu, fz)
@@ -165,9 +171,9 @@ def realized_lipschitz(trace, f):
 
 def tseng_identity_error(trace, f):
     """Max componentwise error of u_{n+1} - z_n = lam_n (F(u_n) - F(z_n))."""
-    n = trace.z.shape[0]
-    fu = np.asarray(f(trace.u[:n]), dtype=np.float64)
-    fz = np.asarray(f(trace.z), dtype=np.float64)
+    n = _steps(trace)
+    fu = evaluate_batch(f, trace.u[:n])
+    fz = evaluate_batch(f, trace.z)
     rhs = np.subtract(fu, fz)
     rhs *= trace.lam[:n, None]
     w = np.subtract(trace.u[1 : n + 1], trace.z)

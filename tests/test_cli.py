@@ -189,6 +189,7 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("QVI_SEED", "zzz")
     with pytest.raises(ValueError, match="QVI_SEED"):
         parse_config(["recovery"])
+    parse_config(["solve"])  # solve takes no seed, so QVI_SEED is not read
     monkeypatch.delenv("QVI_SEED")
     assert parse_config(["recovery"]).seed == 0
 
@@ -199,9 +200,12 @@ def test_seed_env_fallback(monkeypatch):
         (["ratio"], {"ref": 1e400}, None, "ref must be finite"),  # JSON reads 1e400 as inf
         (["table1", "--random-rows", "2"], {"seed": -1}, None, "seed must be nonnegative"),
         (["recovery", "--M", "8", "--N", "16", "--K", "2"], {}, "-4", "seed must be nonnegative"),
-        (["solve"], {}, "-4", "seed must be nonnegative"),
+        # a value the command does not read is not range-checked: solve takes
+        # no seed and table1 no tail window, so both run
+        (["solve"], {}, "-4", None),
+        (["table1"], {"tail_window": 2}, None, None),
     ],
-    ids=["file-ref", "file-seed", "env-seed-recovery", "env-seed-solve"],
+    ids=["file-ref", "file-seed", "env-seed-recovery", "env-seed-solve", "file-tail-window-table1"],
 )
 def test_file_and_env_values_out_of_range_exit_2(tmp_path, capsys, monkeypatch, argv, values, env, message):
     if env is None:
@@ -210,9 +214,15 @@ def test_file_and_env_values_out_of_range_exit_2(tmp_path, capsys, monkeypatch, 
         monkeypatch.setenv("QVI_SEED", env)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(values))
-    assert main(argv + ["--config", str(path), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"input error: {message}\n"
-    assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+    code = main(argv + ["--config", str(path), "--out", str(tmp_path)])
+    csvs = [name for name in os.listdir(tmp_path) if name.endswith(".csv")]
+    if message is None:
+        assert code == 0 and capsys.readouterr().err == ""
+        assert csvs == [f"{argv[0]}.csv"]
+    else:
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert csvs == []
 
 
 def test_out_that_is_not_a_directory_exits_2_before_solving(tmp_path, capsys, monkeypatch):

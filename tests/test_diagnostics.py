@@ -22,9 +22,11 @@ from qvi import (
     run_recovery,
     sine_problem,
     solve,
+    step_rule_slack,
     tseng_identity_error,
     verify_disjointness,
 )
+from qvi.experiments import default_recovery_config
 
 THREE_HALF_PI = 1.5 * np.pi
 
@@ -292,3 +294,44 @@ def test_audits_equal_reference_formulas_without_writing_inputs():
             got = (fejer_audit(t, g, reference, mu), realized_lipschitz(t, g),
                    tseng_identity_error(t, g))
             assert got == expected
+
+
+# --- traces and operators the audits cannot use -------------------------------
+
+class _FirstColumn(Mapping):
+    """Keeps only the first component of F: shape (n, 1) on an (n, d) batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.dim = inner.dim
+
+    def __call__(self, x):
+        return self.inner(x)[..., :1]
+
+
+_AUDITS = {
+    "ratio_series": lambda t, f, cfg: ratio_series(t, f, np.zeros(t.z.shape[1])),
+    "fejer_audit": lambda t, f, cfg: fejer_audit(t, f, np.zeros(t.z.shape[1]), cfg.mu),
+    "step_rule_slack": lambda t, f, cfg: step_rule_slack(t, cfg),
+    "realized_lipschitz": lambda t, f, cfg: realized_lipschitz(t, f),
+    "tseng_identity_error": lambda t, f, cfg: tseng_identity_error(t, f),
+}
+
+
+@pytest.mark.parametrize("name", list(_AUDITS))
+def test_audits_reject_wrong_operator_shapes_and_zero_step_traces(name):
+    audit = _AUDITS[name]
+    inst = gen_recovery(12, 30, 3, seed=1)
+    cfg = default_recovery_config(inst)
+    trace = run_recovery(inst, cfg).result.trace
+    f = LeastSquares(inst.mat, inst.observed)
+    audit(trace, f, cfg)
+    if name != "step_rule_slack":  # the one audit that does not evaluate F
+        with pytest.raises(ValueError, match=r"operator returned shape \(\d+, 1\) for batch"):
+            audit(trace, _FirstColumn(f), cfg)
+    no_steps = SolveTrace(
+        u=trace.u[:1], z=trace.z[:0], lam=trace.lam[:1], errors=trace.errors[:0],
+        residuals=trace.residuals[:0], operator_diffs=trace.operator_diffs[:0],
+    )
+    with pytest.raises(ValueError, match="audit needs a trace with at least one step"):
+        audit(no_steps, f, cfg)

@@ -17,6 +17,7 @@ from qvi import (
     check_hypotheses,
     gen_recovery,
     gram_norm,
+    run_recovery,
 )
 
 THREE_HALF_PI = 4.712388980384690  # 3*pi/2
@@ -97,6 +98,65 @@ def test_least_squares_stores_one_matrix(m, n):
         single = f(batch[i])
         scale = np.max(np.abs(single))
         np.testing.assert_allclose(out[i], single, rtol=0, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "budget, shape, blocks",
+    [
+        (None, (150, 2048), 3),  # 1 MiB: 64-row blocks, the last of 22 rows
+        (4096, (40, 64), 5),  # 8-row blocks
+        (4096, (37, 64), 5),  # M not a multiple of the block rows
+        (4096, (5, 1000), 5),  # a row wider than the budget is a block alone
+    ],
+)
+def test_least_squares_row_blocks_match_the_two_products(monkeypatch, budget, shape, blocks):
+    if budget is not None:
+        monkeypatch.setattr("qvi.operators._BLOCK_BYTES", budget)
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal(shape)
+    rhs = rng.standard_normal(shape[0])
+    f = LeastSquares(mat, rhs)
+    assert len(f._blocks) == blocks
+    for _ in range(3):
+        x = rng.standard_normal(shape[1])
+        expected = mat.T @ (mat @ x - rhs)
+        # summed in another order, a component that cancels to far below the
+        # others keeps the others' rounding error: scale by the largest
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(f(x), expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_least_squares_with_an_empty_dimension(shape):
+    mat = np.ones(shape)
+    rhs = np.ones(shape[0])
+    x = np.ones(shape[1])
+    out = LeastSquares(mat, rhs)(x)
+    assert out.shape == (shape[1],)
+    np.testing.assert_array_equal(out, mat.T @ (mat @ x - rhs))
+
+
+@pytest.mark.parametrize("budget", [None, 4096])
+def test_least_squares_returns_a_new_array_per_call(monkeypatch, budget):
+    # the solver keeps F(u_n) while it evaluates F(z_n)
+    if budget is not None:
+        monkeypatch.setattr("qvi.operators._BLOCK_BYTES", budget)
+    inst = gen_recovery(40, 64, 4, seed=3)
+    f = LeastSquares(inst.mat, inst.observed)
+    first = f(np.ones(64))
+    kept = first.copy()
+    second = f(np.full(64, 2.0))
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_recovery_in_row_blocks_runs_the_one_block_course(monkeypatch):
+    inst = gen_recovery(64, 128, 5, seed=2)
+    whole = run_recovery(inst).result
+    monkeypatch.setattr("qvi.operators._BLOCK_BYTES", 8 * 1024)  # eight 8-row blocks
+    blocked = run_recovery(inst).result
+    assert (blocked.status, blocked.iterations) == (whole.status, whole.iterations)
+    np.testing.assert_allclose(blocked.trace.errors, whole.trace.errors, rtol=1e-9)
 
 
 def test_cubic_zeros_are_exactly_the_known_set():

@@ -52,7 +52,6 @@ from .operators import (
     power_iteration_gram_norm,
 )
 from .solver import (
-    ExactTermination,
     MseToReference,
     NumericError,
     SolveResult,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "CubicQuasi",
-    "ExactTermination",
     "FeasibleSet",
     "HalfSpaceRelaxedL1Ball",
     "HypothesisReport",

@@ -41,9 +41,10 @@ from .solver import (
 
 COMMANDS = ("solve", "table1", "table2", "recovery", "rates", "ratio", "certify")
 
+#: the problem each table solves, and its initial points
 _TABLE_POINTS = {
-    "table1": (0.6, 0.9, 2.0, 3.0, -3.0),
-    "table2": (2.0, 0.1, -0.5, 4.0, -2.0),
+    "table1": ("cubic", (0.6, 0.9, 2.0, 3.0, -3.0)),
+    "table2": ("sine", (2.0, 0.1, -0.5, 4.0, -2.0)),
 }
 
 
@@ -73,11 +74,9 @@ class RunConfig:
     seed: int = _option(0, ("table1", "table2", "recovery", "certify"))
     out: str = _option(".", help="output directory")
     plot: bool = _option(False, ("solve", "recovery", "rates", "ratio"))
-    # the tables solve `problem` without taking its flag; their per-command
-    # defaults mark it as read (see _reads)
     problem: str = _option(
         "cubic", ("solve", "rates", "ratio"), choices=sorted(experiments.PROBLEMS),
-        table1="cubic", table2="sine", ratio="piecewise",
+        ratio="piecewise",
     )
     u1: float = _option(0.6, ("solve", "rates", "ratio"))
     ref: float | None = _option(None, ("ratio",))
@@ -172,12 +171,8 @@ _FLAG_NAMES = {"scale": "xi-scale", "exponent": "xi-exp", "max_iters": "max-iter
 
 
 def _reads(command):
-    """Names of the fields `command` reads: its flags, and any field it has
-    its own default for."""
-    return {
-        f.name for f in _OPTIONS
-        if command in f.metadata["commands"] or command in f.metadata["per_command"]
-    }
+    """Names of the fields `command` reads, one per flag it takes."""
+    return {f.name for f in _OPTIONS if command in f.metadata["commands"]}
 
 
 def _validate(cfg, reads):
@@ -296,11 +291,11 @@ def _cmd_solve(cfg):
 
 
 def _table_spec(cfg):
-    points = _TABLE_POINTS[cfg.command]
+    problem, points = _TABLE_POINTS[cfg.command]
     if cfg.random_rows:
         points = points + experiments.random_initial_points(cfg.random_rows, cfg.seed)
     return experiments.TableSpec(
-        problem=cfg.problem,
+        problem=problem,
         initial_points=points,
         lambda1=cfg.lambda1,
         mu=cfg.mu,

@@ -144,8 +144,8 @@ def run_example_table(spec, keep_traces=False):
     reported iteration counts; the squared-step stopping rule therefore
     receives tol**2. The stopping rule does not steer the iteration, so a
     run at a looser tolerance is a prefix of the run at the tightest one:
-    each row stops at the first step whose trace error drops below tol**2,
-    or takes the solve's own count and status when no step does. Rows are
+    each row stops at the first step of the trace SquaredStep(tol**2) accepts,
+    or takes the solve's own count and status when no step passes. Rows are
     start-major with the tolerances in the given order. cpu_seconds is the
     solve loop's wall_time scaled by row.iterations / result.iterations, the
     time to the row's stop at the solve's mean cost per iteration. Returns
@@ -166,7 +166,8 @@ def run_example_table(spec, keep_traces=False):
         result = solve(f, feasible, u1, cfg)
         trace = result.trace
         for tol in spec.tolerances:
-            crossed = np.flatnonzero(trace.errors < tol * tol)
+            done = SquaredStep(tol * tol).converged(trace.errors, trace.residuals, trace.lam[:-1])
+            crossed = np.flatnonzero(done)
             if crossed.size:
                 iterations, status = int(crossed[0]) + 1, "converged"
             else:

@@ -13,6 +13,11 @@ falling back to lam_n + xi_n when the operator values coincide. The
 perturbations xi_n = a / (n+1)^p are summable (p > 1), so the step sequence
 converges while being allowed to grow between iterations.
 
+Tseng's method stops at u_n = z_n, a solution. ``SquaredStep`` asks for a
+small step and a small residual ||u_n - z_n||, since a correction can return
+u_{n+1} to about u_n while z_n lies far from it; ``MseToReference`` stops on
+the mean squared error to a reference point.
+
 ``solve`` picks its step once per call from the feasible set and the start.
 A start of shape (1,) in a Box runs the step on Python floats, where numpy
 calls on one-element arrays would cost about ten times the arithmetic; it
@@ -67,9 +72,13 @@ class XiSequence:
         return np.concatenate([[0.0], np.cumsum(vals)])
 
 
+#: bound on ||u_n - z_n|| / (lam_n sqrt(tol)); the scalar grids' multi-step stops reach 4.76
+CERTIFICATE = 10.0
+
+
 @dataclass(frozen=True)
 class SquaredStep:
-    """Stop once ||u_{n+1} - u_n||^2 drops below tol."""
+    """Stop once ||u_{n+1} - u_n||^2 drops below tol at a certified point."""
 
     tol: float
 
@@ -77,16 +86,9 @@ class SquaredStep:
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
 
-
-@dataclass(frozen=True)
-class ExactTermination:
-    """Stop once ||u_n - z_n|| or ||F(z_n)|| reaches tol_z (z_n solves the problem)."""
-
-    tol_z: float = 0.0
-
-    def __post_init__(self):
-        if not 0 <= self.tol_z < math.inf:
-            raise ValueError("tol_z must be nonnegative and finite")
+    def converged(self, err_sq, res, lam):
+        """Whether step n stops the solve; elementwise on arrays of trace values."""
+        return (err_sq < self.tol) & (res <= lam * (CERTIFICATE * math.sqrt(self.tol)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +106,7 @@ class MseToReference:
             raise ValueError("tol must be positive and finite")
 
 
-StoppingRule = SquaredStep | ExactTermination | MseToReference
+StoppingRule = SquaredStep | MseToReference
 
 
 @dataclass(eq=False, frozen=True)
@@ -118,6 +120,8 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.lambda1 < math.inf:
             raise ValueError("lambda1 must be positive and finite")
+        if not isinstance(self.stop, StoppingRule):
+            raise ValueError(f"stop must be SquaredStep or MseToReference, got {self.stop!r}")
         if not 0.0 < self.mu < 1.0:
             raise ValueError("mu must lie in (0, 1)")
         if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer)):
@@ -153,7 +157,7 @@ class SolveTrace:
 class SolveResult:
     final_point: np.ndarray
     iterations: int
-    status: str  # converged | terminated_exact | max_iters
+    status: str  # converged | max_iters
     wall_time: float
     trace: SolveTrace
 
@@ -208,7 +212,7 @@ def _step(project, u, lam, f, n, cfg):
         _check_finite(fz, n, "operator value F(z_n)")
         _check_finite(u_next, n, "iterate u_{n+1}")
     lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
-    return u_next, z, lam_next, fz, res, df, err_sq
+    return u_next, z, lam_next, res, df, err_sq
 
 
 def _scalar_step(lo, hi, u, lam, f, n, cfg):
@@ -245,7 +249,7 @@ def _scalar_step(lo, hi, u, lam, f, n, cfg):
     if not math.isfinite(u_next):
         raise _non_finite("iterate u_{n+1}", n)
     lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
-    return u_next, z, lam_next, fz, res, df, err_sq
+    return u_next, z, lam_next, res, df, err_sq
 
 
 # numpy's overflow and invalid-value warnings are silenced once per call:
@@ -255,9 +259,8 @@ def solve(f, feasible_set, u1, cfg):
     """Run the iteration from u1 until the stopping rule fires or max_iters.
 
     The stopping rule is evaluated after each completed step; the reported
-    iteration count is the number of executed steps. The exact-termination
-    rule returns z_n as the final point, the others return the latest
-    iterate.
+    iteration count is the number of executed steps, and the final point is
+    the latest iterate.
     """
     start = _as_vector(u1, "initial point")
     if not np.isfinite(start).all():
@@ -272,7 +275,6 @@ def solve(f, feasible_set, u1, cfg):
     lam = float(cfg.lambda1)
     stop = cfg.stop
     squared = isinstance(stop, SquaredStep)
-    exact = isinstance(stop, ExactTermination)
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
 
@@ -286,15 +288,11 @@ def solve(f, feasible_set, u1, cfg):
     status = "max_iters"
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u, z, lam, fz, res, df, err_sq = step(u, lam, f, n, cfg)
+        u, z, lam, res, df, err_sq = step(u, lam, f, n, cfg)
         if squared:
             error = err_sq
-            done = error < stop.tol
-        elif exact:
-            # np.dot takes the float step's F(z_n) as well as an array
-            fz_norm = math.sqrt(np.dot(fz, fz))
-            error = min(res, fz_norm)
-            done = res <= stop.tol_z or fz_norm <= stop.tol_z
+            # lams[-1] is lam_n, the step size this iteration used
+            done = error < stop.tol and stop.converged(error, res, lams[-1])
         else:
             # np.mean's reduction and division, without its dispatch; a
             # float iterate broadcasts against the (1,) reference
@@ -308,7 +306,7 @@ def solve(f, feasible_set, u1, cfg):
         residuals.append(res)
         operator_diffs.append(df)
         if done:
-            status = "terminated_exact" if exact else "converged"
+            status = "converged"
             break
     wall = time.perf_counter() - t0
 
@@ -324,7 +322,7 @@ def solve(f, feasible_set, u1, cfg):
         operator_diffs=np.asarray(operator_diffs),
     )
     return SolveResult(
-        final_point=np.atleast_1d(z if status == "terminated_exact" else u),
+        final_point=np.atleast_1d(u),
         iterations=len(zs),
         status=status,
         wall_time=wall,

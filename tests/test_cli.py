@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qvi
-from qvi.cli import emit_csv, main, parse_config, write_config
+from qvi.cli import _table_spec, emit_csv, main, parse_config, write_config
 from qvi.plots import emit_svg_plot
 
 
@@ -20,9 +20,9 @@ from qvi.plots import emit_svg_plot
 
 def test_defaults_per_command():
     cfg = parse_config(["table1"])
-    assert cfg.mu == 0.3 and cfg.tol == (1e-6, 1e-8) and cfg.problem == "cubic"
+    assert cfg.mu == 0.3 and cfg.tol == (1e-6, 1e-8) and _table_spec(cfg).problem == "cubic"
     cfg = parse_config(["table2"])
-    assert cfg.mu == 0.5 and cfg.problem == "sine"
+    assert cfg.mu == 0.5 and _table_spec(cfg).problem == "sine"
     cfg = parse_config(["recovery"])
     assert cfg.lambda1 == 0.1 and cfg.max_iters == 2000
     cfg = parse_config(["solve"])
@@ -400,6 +400,21 @@ def test_ratio_command(tmp_path, capsys):
     series = qvi.ratio_series(result.trace, f, f.nearest_solution(result.final_point), eps=1.0)
     assert _column(rows, "n", int) == series.index.tolist()
     assert values.tolist() == series.values.tolist()
+
+
+def test_a_table_solves_its_own_problem_whatever_the_config_file_says(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"problem": "sine"}))
+    tables = []
+    for extra in ([], ["--config", str(config)]):
+        out = tmp_path / str(len(tables))
+        assert main(["table1", *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("table1: 10 rows -> ")
+        rows = _read_csv(out / "table1.csv")
+        tables.append([{k: v for k, v in r.items() if k != "cpu_seconds"} for r in rows])
+    assert tables[1] == tables[0]
+    assert tables[0][0] == {"u1": "0.59999999999999998", "tol": "9.9999999999999995e-07",
+                            "iterations": "54", "limit": "0"}
 
 
 def test_table_random_rows(tmp_path):

@@ -13,7 +13,6 @@ from conftest import hull_lipschitz, scalar_config
 from qvi import (
     Box,
     CubicQuasi,
-    ExactTermination,
     HalfSpaceRelaxedL1Ball,
     LeastSquares,
     MseToReference,
@@ -23,12 +22,14 @@ from qvi import (
     SinePlusOne,
     SolverConfig,
     SquaredStep,
+    TableSpec,
     XiSequence,
     cubic_problem,
     fejer_audit,
     gen_recovery,
     piecewise_problem,
     project,
+    run_example_table,
     run_recovery,
     sine_problem,
     solve,
@@ -141,19 +142,25 @@ def test_solve_sine_run():
     assert abs(result.final_point[0]) < 1e-3
 
 
-def test_exact_termination_opt_in():
-    # from u1=2 the first projection lands on z=1 where F vanishes; the
-    # default squared-step rule continues past it to -1, the opt-in exact
-    # rule stops there and reports z as the solution
-    f, box = cubic_problem()
-    cfg = SolverConfig(
-        lambda1=1.0, mu=0.3, xi_params=XI_DEFAULT,
-        stop=ExactTermination(0.0), max_iters=50,
-    )
-    result = solve(f, box, 2.0, cfg)
-    assert result.status == "terminated_exact"
-    assert result.iterations == 1
-    assert result.final_point[0] == 1.0
+@pytest.mark.parametrize(
+    "problem, mu, u1, iterations",
+    [
+        (sine_problem, 0.5, 0.015, 15),
+        (sine_problem, 0.5, 0.003734, 13),
+        (cubic_problem, 0.3, 9.2e-4, 25),
+        (piecewise_problem, 0.3, 0.9995, 187),
+    ],
+)
+def test_a_step_back_to_the_start_is_no_convergence(problem, mu, u1, iterations):
+    # the first correction returns u_2 to about u_1 while z_1 lies far from
+    # it, so the step norm alone would report the start as converged
+    f, feasible_set = problem()
+    result = solve(f, feasible_set, u1, scalar_config(mu=mu, col_tol=1e-6))
+    assert result.trace.errors[0] < 1e-12
+    assert result.status == "converged"
+    assert result.iterations == iterations
+    final = result.final_point
+    assert np.abs(final - f.nearest_solution(final)).max() < 1e-4
 
 
 def test_max_iters_status():
@@ -203,8 +210,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SquaredStep(0.0)
     with pytest.raises(ValueError):
-        ExactTermination(-1.0)
-    with pytest.raises(ValueError):
         MseToReference(np.zeros(2), 0.0)
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
@@ -212,9 +217,13 @@ def test_solver_config_validation():
         with pytest.raises(ValueError, match="finite"):
             SquaredStep(bad)
         with pytest.raises(ValueError, match="finite"):
-            ExactTermination(bad)
-        with pytest.raises(ValueError, match="finite"):
             MseToReference(np.zeros(2), bad)
+
+
+def test_unknown_stop_rule_is_rejected():
+    for bad in (object(), None, 1e-12):
+        with pytest.raises(ValueError, match="stop must be SquaredStep or MseToReference"):
+            SolverConfig(stop=bad)
 
 
 def test_solver_config_is_frozen():
@@ -443,10 +452,11 @@ def _reference_solve(f, feasible_set, u1, cfg):
     """The iteration step by step through the public projection.
 
     Each step builds a ProjectionContext and calls project(), and the
-    correction, norms, squared step, exact-termination test and MSE use
-    np.linalg.norm, np.mean and np.stack. Returns the trace arrays, the
-    final point, the status and the halfspace branches the relaxed
-    projections took.
+    correction, norms, squared step and MSE use np.linalg.norm, np.mean and
+    np.stack. The squared-step rule is written out here with its certificate
+    ||u_n - z_n|| <= 10 lam_n sqrt(tol). Returns the trace arrays, the final
+    point, the status and the halfspace branches the relaxed projections
+    took.
     """
     u = np.atleast_1d(np.asarray(u1, dtype=np.float64)).copy()
     lam = float(cfg.lambda1)
@@ -469,14 +479,9 @@ def _reference_solve(f, feasible_set, u1, cfg):
         df = float(np.linalg.norm(fu - fz))
         xi_n = cfg.xi_params.value(n)
         lam_next = lam + xi_n if df == 0.0 else min(cfg.mu * res / df, lam + xi_n)
-        exact = isinstance(stop, ExactTermination)
         if isinstance(stop, SquaredStep):
             error = float(((u_next - u) ** 2).sum())
-            done = error < stop.tol
-        elif exact:
-            fz_norm = float(np.linalg.norm(fz))
-            error = min(res, fz_norm)
-            done = res <= stop.tol_z or fz_norm <= stop.tol_z
+            done = error < stop.tol and res <= lam * (10.0 * math.sqrt(stop.tol))
         else:
             error = float(np.mean((u_next - stop.reference) ** 2))
             done = error < stop.tol
@@ -487,7 +492,7 @@ def _reference_solve(f, feasible_set, u1, cfg):
         residuals.append(res)
         diffs.append(df)
         if done:
-            status, final = ("terminated_exact", z) if exact else ("converged", u_next)
+            status, final = "converged", u_next
             break
         u, lam = u_next, lam_next
         final = u
@@ -522,8 +527,8 @@ def test_solve_equals_reference_step_on_table_starts(problem, mu, u1):
 @pytest.mark.parametrize("problem", [cubic_problem, sine_problem, piecewise_problem])
 @pytest.mark.parametrize(
     "stop",
-    [SquaredStep(1e-16), ExactTermination(1e-7), MseToReference(np.zeros(1), 1e-10)],
-    ids=["squared", "exact", "mse"],
+    [SquaredStep(1e-16), MseToReference(np.zeros(1), 1e-10)],
+    ids=["squared", "mse"],
 )
 def test_solve_equals_reference_step_under_every_stopping_rule(problem, stop):
     f, feasible_set = problem()
@@ -587,6 +592,26 @@ def test_solve_equals_reference_step_on_drawn_parameters(u1, mu, lambda1, xi_sca
     for problem in (cubic_problem, sine_problem, piecewise_problem):
         f, feasible_set = problem()
         _assert_same_run(solve(f, feasible_set, u1, cfg), _reference_solve(f, feasible_set, u1, cfg))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(
+    u1=st.floats(-3.0, 3.0),
+    mu=st.floats(0.01, 0.99),
+    tolerances=st.lists(st.sampled_from((1e-4, 1e-6, 1e-8)), min_size=1, max_size=3),
+)
+def test_every_converged_stop_is_certified_at_its_own_step(u1, mu, tolerances):
+    def certified(trace, n, tol):
+        return (trace.errors[n - 1] < tol * tol
+                and trace.residuals[n - 1] <= trace.lam[n - 1] * (10.0 * math.sqrt(tol * tol)))
+
+    for problem in ("cubic", "sine", "piecewise"):
+        spec = TableSpec(problem, (u1,), mu=mu, tolerances=tuple(tolerances))
+        for row, result in run_example_table(spec, keep_traces=True):
+            if result.status == "converged":
+                assert certified(result.trace, result.iterations, min(tolerances))
+            if row.status == "converged":
+                assert certified(result.trace, row.iterations, row.tol)
 
 
 def test_solve_equals_reference_step_on_relaxed_l1_recovery():

@@ -181,6 +181,9 @@ def _validate(cfg, reads):
         try:
             for tol in cfg.tol:
                 cfg.solver_config(SquaredStep(tol))
+                # all but recovery bound the step norm by tol, so their stop rule receives tol**2
+                if cfg.command != "recovery" and not 0 < tol * tol < math.inf:
+                    raise ValueError(f"tol {tol:g} has the square {tol * tol:g}, which must be positive and finite")
         except ValueError as exc:
             field_name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_FLAG_NAMES.get(field_name, field_name)} {rest}") from exc
@@ -229,14 +232,11 @@ def write_config(cfg, path):
 
 
 def _format_cell(value):
+    # rows hold None, bool, int, str and float values; np.float64 is a float
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
+    if isinstance(value, float):
+        return f"{value:.17g}"
     return str(value)
 
 

@@ -62,23 +62,31 @@ def _steps(trace):
     return trace.z.shape[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow gives no ratio, rejected below
 def ratio_series(trace, f, reference, eps=1.0):
     """Ratios |<F(z_n), z_n - ref>| / ||z_n - ref||^(2+eps) along a trace.
 
     Entries with ||z_n - ref|| below _DIST_CUTOFF = 1e-14 are dropped to avoid 0/0.
+    A reference so far from the iterates that a kept numerator or denominator
+    overflows gives no ratio, and is rejected.
     """
     _steps(trace)
     if not 0 <= eps < np.inf:
         raise ValueError("eps must be nonnegative and finite")
     ref = np.atleast_1d(np.asarray(reference, dtype=np.float64))
+    if not np.isfinite(ref).all():
+        raise ValueError("reference must be finite")
     z = trace.z
     fz = evaluate_batch(f, z)
     diff = z - ref
     dist = np.linalg.norm(diff, axis=1)
     keep = dist >= _DIST_CUTOFF
-    num = np.abs(np.einsum("ij,ij->i", fz, diff))
+    num = np.abs(np.einsum("ij,ij->i", fz, diff))[keep]
+    den = dist[keep] ** (2.0 + eps)
+    if not (np.isfinite(num).all() and np.isfinite(den).all()):
+        raise ValueError("reference is too far from the iterates: a ratio's numerator or denominator is not finite")
     idx = np.arange(1, z.shape[0] + 1)
-    return RatioSeries(index=idx[keep], values=num[keep] / dist[keep] ** (2.0 + eps))
+    return RatioSeries(index=idx[keep], values=num / den)
 
 
 def fejer_audit(trace, f, u, mu):

@@ -1,8 +1,8 @@
 """Problem instances and reproducible experiment runners.
 
-Two scalar benchmark problems (a cubic quasimonotone operator on [-1, 1]
-and a shifted sine on the nonnegative ray) are run over grids of initial
-points and tolerances, reporting iteration counts and identified limits.
+Three scalar benchmark problems (cubic and piecewise-quadratic operators on
+[-1, 1], a shifted sine on the nonnegative ray) are run over grids of
+initial points and tolerances, reporting iteration counts and limits.
 The sparse signal-recovery study solves a least-squares problem over the
 l1 ball via its halfspace relaxation, tracking the mean squared error to
 the planted signal.
@@ -24,6 +24,7 @@ from .solver import (
     SolverConfig,
     SquaredStep,
     XiSequence,
+    _mean_squared_error,
     solve,
 )
 
@@ -61,7 +62,7 @@ def mse(u, reference):
     reference = np.atleast_1d(np.asarray(reference, dtype=np.float64))
     if u.shape != reference.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {reference.shape}")
-    return float(np.mean((u - reference) ** 2))
+    return _mean_squared_error(u, reference)
 
 
 @dataclass(eq=False)

@@ -18,6 +18,9 @@ small step and a small residual ||u_n - z_n||, since a correction can return
 u_{n+1} to about u_n while z_n lies far from it; ``MseToReference`` stops on
 the mean squared error to a reference point.
 
+The loop of ``solve`` owns the step-size rule, the stop rule's ``check`` and
+the record of each step; the two steps keep only Tseng's arithmetic.
+
 ``solve`` picks its step once per call from the feasible set and the start.
 A start of shape (1,) in a Box runs the step on Python floats, where numpy
 calls on one-element arrays would cost about ten times the arithmetic; it
@@ -26,7 +29,7 @@ of np.maximum / np.minimum, so its traces equal the array step's bit for
 bit. Every other start runs the array step, which projects through the
 closure ``geometry.projector`` resolves once per call.
 
-Every solve returns its full trace and the wall time of its loop.
+Every solve returns its status, its loop's wall time and its full trace.
 """
 
 import math
@@ -90,6 +93,16 @@ class SquaredStep:
         """Whether step n stops the solve; elementwise on arrays of trace values."""
         return (err_sq < self.tol) & (res <= lam * (CERTIFICATE * math.sqrt(self.tol)))
 
+    def check(self, u_next, err_sq, res, lam):
+        """(error, done) of a step with step size lam; the cheap test rules out most steps first."""
+        return err_sq, err_sq < self.tol and self.converged(err_sq, res, lam)
+
+
+def _mean_squared_error(u, reference):
+    """np.mean((u - reference) ** 2) without its dispatch; a float u broadcasts to a (1,) reference."""
+    d = u - reference
+    return float(np.add.reduce(d * d, axis=None)) / d.size
+
 
 @dataclass(frozen=True, eq=False)
 class MseToReference:
@@ -104,6 +117,11 @@ class MseToReference:
             raise ValueError("reference must be finite")
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
+
+    def check(self, u_next, err_sq, res, lam):
+        """(error, done) of one step, the error being the MSE of u_{n+1}."""
+        error = _mean_squared_error(u_next, self.reference)
+        return error, error < self.tol
 
 
 StoppingRule = SquaredStep | MseToReference
@@ -155,11 +173,18 @@ class SolveTrace:
 
 @dataclass(eq=False)
 class SolveResult:
-    final_point: np.ndarray
-    iterations: int
     status: str  # converged | max_iters
     wall_time: float
     trace: SolveTrace
+
+    @property
+    def iterations(self):
+        return self.trace.iterations
+
+    @property
+    def final_point(self):
+        """A copy of the latest iterate u_{n+1}."""
+        return self.trace.u[-1].copy()
 
 
 def _next_step(lam, xi_n, res, df, mu):
@@ -178,8 +203,8 @@ def _check_finite(values, n, what):
         raise _non_finite(what, n)
 
 
-def _step(project, u, lam, f, n, cfg):
-    """One iteration; returns everything downstream bookkeeping needs."""
+def _step(project, u, lam, f, n):
+    """Tseng's step n from u_n with step size lam; returns (u_{n+1}, z_n, res, df, err_sq)."""
     fu = np.asarray(f(u), dtype=np.float64)
     if fu.shape != u.shape:
         raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n {u.shape}")
@@ -211,11 +236,10 @@ def _step(project, u, lam, f, n, cfg):
     if not (math.isfinite(df) and math.isfinite(err_sq)):
         _check_finite(fz, n, "operator value F(z_n)")
         _check_finite(u_next, n, "iterate u_{n+1}")
-    lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
-    return u_next, z, lam_next, res, df, err_sq
+    return u_next, z, res, df, err_sq
 
 
-def _scalar_step(lo, hi, u, lam, f, n, cfg):
+def _scalar_step(lo, hi, u, lam, f, n):
     """_step on Python floats, for a start of shape (1,) in the box [lo, hi].
 
     Each float operation is the one IEEE operation the array step applies to
@@ -248,12 +272,11 @@ def _scalar_step(lo, hi, u, lam, f, n, cfg):
         raise _non_finite("operator value F(z_n)", n)
     if not math.isfinite(u_next):
         raise _non_finite("iterate u_{n+1}", n)
-    lam_next = _next_step(lam, cfg.xi_params.value(n), res, df, cfg.mu)
-    return u_next, z, lam_next, res, df, err_sq
+    return u_next, z, res, df, err_sq
 
 
 # numpy's overflow and invalid-value warnings are silenced once per call:
-# the finiteness checks in _step report such a failure as NumericError
+# the finiteness checks in the steps report such a failure as NumericError
 @np.errstate(over="ignore", invalid="ignore")
 def solve(f, feasible_set, u1, cfg):
     """Run the iteration from u1 until the stopping rule fires or max_iters.
@@ -269,62 +292,39 @@ def solve(f, feasible_set, u1, cfg):
     project = projector(feasible_set, start, start)
     if isinstance(feasible_set, Box) and start.shape == (1,):
         step = partial(_scalar_step, feasible_set.lo.item(), feasible_set.hi.item())
-        u = start.item()
+        first = start.item()
     else:
-        step, u = partial(_step, project), start
-    lam = float(cfg.lambda1)
+        step, first = partial(_step, project), start
     stop = cfg.stop
-    squared = isinstance(stop, SquaredStep)
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
+    # bound once: attribute lookups cost a measurable share of a float step
+    check, xi, mu = stop.check, cfg.xi_params.value, cfg.mu
 
-    us = [u]
-    zs = []
-    lams = [lam]
-    errors = []
-    residuals = []
-    operator_diffs = []
-
+    u, lam = first, float(cfg.lambda1)
+    records = []
     status = "max_iters"
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u, z, lam, res, df, err_sq = step(u, lam, f, n, cfg)
-        if squared:
-            error = err_sq
-            # lams[-1] is lam_n, the step size this iteration used
-            done = error < stop.tol and stop.converged(error, res, lams[-1])
-        else:
-            # np.mean's reduction and division, without its dispatch; a
-            # float iterate broadcasts against the (1,) reference
-            d = u - stop.reference
-            error = float(np.add.reduce(d * d)) / d.size
-            done = error < stop.tol
-        us.append(u)
-        zs.append(z)
-        lams.append(lam)
-        errors.append(error)
-        residuals.append(res)
-        operator_diffs.append(df)
+        u_next, z, res, df, err_sq = step(u, lam, f, n)
+        error, done = check(u_next, err_sq, res, lam)
+        u, lam = u_next, _next_step(lam, xi(n), res, df, mu)
+        records.append((u, z, lam, error, res, df))
         if done:
             status = "converged"
             break
     wall = time.perf_counter() - t0
 
-    # the loop runs at least once, so zs is never empty; np.array
+    # the loop runs at least once, so records is never empty; np.array
     # stacks float and array iterates alike
+    us, zs, lams, errors, residuals, operator_diffs = zip(*records)
     dim = start.shape[0]
     trace = SolveTrace(
-        u=np.array(us).reshape(-1, dim),
+        u=np.array((first, *us)).reshape(-1, dim),
         z=np.array(zs).reshape(-1, dim),
-        lam=np.asarray(lams),
-        errors=np.asarray(errors),
-        residuals=np.asarray(residuals),
-        operator_diffs=np.asarray(operator_diffs),
+        lam=np.array((float(cfg.lambda1), *lams)),
+        errors=np.array(errors),
+        residuals=np.array(residuals),
+        operator_diffs=np.array(operator_diffs),
     )
-    return SolveResult(
-        final_point=np.atleast_1d(u),
-        iterations=len(zs),
-        status=status,
-        wall_time=wall,
-        trace=trace,
-    )
+    return SolveResult(status=status, wall_time=wall, trace=trace)

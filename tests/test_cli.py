@@ -402,6 +402,31 @@ def test_ratio_command(tmp_path, capsys):
     assert values.tolist() == series.values.tolist()
 
 
+def test_ratio_against_a_reference_out_of_float_range_exits_2(tmp_path, capsys):
+    for ref in ("1e120", "1e150", "1e200"):
+        assert main(["ratio", "--ref", ref, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: reference is too far from the iterates")
+        assert "Warning" not in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_tol_whose_square_leaves_the_float_range_is_named(tmp_path, capsys):
+    cases = [("solve", "1e200", "inf"), ("table1", "1e-170", "0"), ("rates", "1e160", "inf"),
+             ("ratio", "1e-200", "0"), ("table2", "1e155", "inf")]
+    for command, tol, square in cases:
+        message = f"tol {float(tol):g} has the square {square}, which must be positive and finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config([command, "--tol", tol])
+        assert main([command, "--tol", tol, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+    assert os.listdir(tmp_path) == []
+    # recovery stops on the MSE below tol itself, so its tol is not squared
+    assert parse_config(["recovery", "--tol", "1e200"]).tol == (1e200,)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        parse_config(["solve", "--tol=-1e-3"])
+
+
 def test_a_table_solves_its_own_problem_whatever_the_config_file_says(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"problem": "sine"}))

@@ -1,6 +1,7 @@
 """Ratio series, separation certificates, rate estimates, iteration audits."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,18 @@ def test_ratio_series_validation():
     empty = ratio_series(_trace_with_z([0.0]), f, np.array([0.0]))
     with pytest.raises(ValueError):
         empty.min_ratio
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="reference must be finite"):
+            ratio_series(_trace_with_z([0.5]), f, bad)
+    # ||z - ref||^3 overflows from about 5.6e102, and the norm itself from
+    # about 1.3e154; either way no ratio is left, and no numpy warning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for far in (1e120, 1e150, 1e200, -1e308):
+            with pytest.raises(ValueError, match="reference is too far"):
+                ratio_series(_trace_with_z([0.5, 0.25]), f, np.array([far]))
+        # a reference near the iterates still gives every ratio
+        assert ratio_series(_trace_with_z([0.5, 0.25]), f, np.array([1e30])).values.size == 2
 
 
 # --- separation certificates ---------------------------------------------

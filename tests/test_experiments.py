@@ -61,6 +61,7 @@ def test_gen_recovery_validation():
 def test_mse_examples():
     assert mse([1.0, 2.0], [1.0, 2.0]) == 0.0
     assert mse([1.0, 0.0], [0.0, 0.0]) == 0.5
+    assert mse(np.eye(3)[:2], np.zeros((2, 3))) == 2.0 / 6.0
     with pytest.raises(ValueError):
         mse([1.0], [1.0, 2.0])
 

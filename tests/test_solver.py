@@ -27,6 +27,7 @@ from qvi import (
     cubic_problem,
     fejer_audit,
     gen_recovery,
+    mse,
     piecewise_problem,
     project,
     run_example_table,
@@ -196,6 +197,53 @@ def test_trace_shapes_and_levels():
     assert trace.errors.shape == (n,)
     assert trace.residuals.shape == (n,)
     assert trace.iterations == n
+
+
+def test_result_reads_its_count_and_final_point_from_the_trace():
+    inst = gen_recovery(16, 32, 3, seed=1)
+    f = LeastSquares(inst.mat, inst.observed)
+    runs = [
+        solve(*cubic_problem(), 0.6, scalar_config(mu=0.3, col_tol=1e-6)),
+        solve(f, HalfSpaceRelaxedL1Ball(inst.omega), np.zeros(32), default_recovery_config(inst)),
+    ]
+    for result in runs:
+        trace = result.trace
+        assert result.iterations == trace.iterations
+        final = result.final_point
+        assert np.array_equal(final, trace.u[-1])
+        kept = trace.u.copy()
+        final[:] = 7.0
+        assert np.array_equal(trace.u, kept)
+        assert np.array_equal(result.final_point, trace.u[-1])
+
+
+def test_squared_step_check_hand_cases():
+    # tol 1e-4: the certificate bounds ||u_n - z_n|| by lam_n * 10 * sqrt(tol) = 0.1 lam_n
+    stop = SquaredStep(1e-4)
+    assert stop.check(0.3, 5e-5, 0.05, 1.0) == (5e-5, True)
+    assert stop.check(0.3, 5e-5, 0.15, 2.0) == (5e-5, True)
+    # a small step whose residual fails the certificate does not stop
+    assert stop.check(0.3, 5e-5, 0.2, 1.0) == (5e-5, False)
+    assert stop.check(0.3, 2e-4, 0.0, 1.0) == (2e-4, False)
+    assert stop.check(0.3, 1e-4, 0.0, 1.0) == (1e-4, False)
+    # the elementwise rule agrees with check on each entry
+    err_sq, res, lam = np.array([5e-5, 5e-5, 2e-4]), np.array([0.05, 0.2, 0.0]), np.ones(3)
+    assert stop.converged(err_sq, res, lam).tolist() == [True, False, False]
+
+
+def test_mse_to_reference_check_hand_cases():
+    # (0^2 + 0.5^2) / 2; the step's own numbers play no part
+    u_next = np.array([1.0, 3.5])
+    assert MseToReference(np.array([1.0, 3.0]), 0.2).check(u_next, 9.0, 9.0, 1.0) == (0.125, True)
+    assert MseToReference(np.array([1.0, 3.0]), 0.1).check(u_next, 0.0, 0.0, 1.0) == (0.125, False)
+    # a float iterate against a reference of shape (1,)
+    assert MseToReference(np.array([2.0]), 1.0).check(2.5, 0.0, 0.0, 1.0) == (0.25, True)
+    # the same bits as np.mean, the formula experiments.mse shares
+    rng = np.random.default_rng(4)
+    for size in (1, 7, 300):
+        u, ref = rng.standard_normal(size), rng.standard_normal(size)
+        error, _ = MseToReference(ref, 1.0).check(u, 0.0, 0.0, 1.0)
+        assert error == float(np.mean((u - ref) ** 2)) == mse(u, ref)
 
 
 def test_solver_config_validation():

@@ -35,7 +35,6 @@ from .experiments import (
 )
 from .geometry import (
     Box,
-    FeasibleSet,
     HalfSpaceRelaxedL1Ball,
     ProjectionContext,
     project,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Box",
     "CubicQuasi",
-    "FeasibleSet",
     "HalfSpaceRelaxedL1Ball",
     "HypothesisReport",
     "LeastSquares",

@@ -23,13 +23,13 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from . import diagnostics, experiments, plots
+from .operators import SinePlusOne
 from .solver import (
     MseToReference,
     NumericError,
@@ -67,7 +67,8 @@ class RunConfig:
     xi_scale: float = _option(100.0, _SOLVING)
     xi_exp: float = _option(1.1, _SOLVING)
     tol: tuple = _option(
-        (1e-6,), _SOLVING, help="stopping tolerance; repeat for several columns",
+        (1e-6,), _SOLVING,
+        help="stopping tolerance; table1 and table2 give one column per value, other commands use the first",
         table1=(1e-6, 1e-8), table2=(1e-6, 1e-8),
     )
     max_iters: int = _option(500, _SOLVING, recovery=2000, ratio=2000)
@@ -182,8 +183,8 @@ def _validate(cfg, reads):
             for tol in cfg.tol:
                 cfg.solver_config(SquaredStep(tol))
                 # all but recovery bound the step norm by tol, so their stop rule receives tol**2
-                if cfg.command != "recovery" and not 0 < tol * tol < math.inf:
-                    raise ValueError(f"tol {tol:g} has the square {tol * tol:g}, which must be positive and finite")
+                if cfg.command != "recovery":
+                    experiments.check_step_tolerance(tol)
         except ValueError as exc:
             field_name, _, rest = str(exc).partition(" ")
             raise ValueError(f"{_FLAG_NAMES.get(field_name, field_name)} {rest}") from exc
@@ -279,14 +280,13 @@ def _cmd_solve(cfg):
     trace, n = result.trace, result.iterations
     columns = (trace.u[:n, 0], trace.z[:, 0], trace.lam[:n], trace.errors, trace.residuals)
     idx = np.arange(1, n + 1)
-    keep = trace.errors > 0
     return Output(
         "solve.csv",
         ["n", "u", "z", "lambda", "error", "residual"],
         list(zip(idx.tolist(), *(c.tolist() for c in columns))),
         f"solve: problem={cfg.problem} u1={cfg.u1:g} iterations={n} "
         f"status={result.status} final={float(result.final_point[0]):.10g}",
-        [("solve_error.svg", "error_vs_iter_loglog", [("error", idx[keep], trace.errors[keep])])],
+        [("solve_error.svg", "error_vs_iter_loglog", [("error", idx, trace.errors)])],
     )
 
 
@@ -318,9 +318,7 @@ def _cmd_table(cfg):
 def _cmd_recovery(cfg):
     instance = experiments.gen_recovery(cfg.m, cfg.n, cfg.k, cfg.seed)
     solver_cfg = cfg.solver_config(MseToReference(instance.signal, cfg.tol[0]))
-    t0 = time.perf_counter()
     out = experiments.run_recovery(instance, solver_cfg)
-    cpu = time.perf_counter() - t0
     result, series = out.result, out.ratio_series
     ratio_by_n = dict(zip(series.index.tolist(), series.values.tolist()))
     idx = np.arange(1, result.iterations + 1)
@@ -332,7 +330,7 @@ def _cmd_recovery(cfg):
         [(n, mse, ratio_by_n.get(n)) for n, mse in zip(idx.tolist(), result.trace.errors.tolist())],
         f"recovery: M={cfg.m} N={cfg.n} K={cfg.k} seed={cfg.seed} "
         f"iterations={result.iterations} status={result.status} "
-        f"final_mse={float(result.trace.errors[-1]):.6g} cpu={cpu:.3f}s",
+        f"final_mse={float(result.trace.errors[-1]):.6g} cpu={result.wall_time:.3f}s",
         [
             ("recovery_error.svg", "error_vs_iter_loglog", [("mse", idx, result.trace.errors)]),
             ("recovery_ratio.svg", "ratio_vs_iter", [("ratio", series.index, series.values)]),
@@ -373,17 +371,16 @@ def _cmd_ratio(cfg):
         ["n", "ratio"],
         list(zip(series.index.tolist(), series.values.tolist())),
         f"ratio: problem={cfg.problem} u1={cfg.u1:g} ref={float(reference[0]):g} "
-        f"retained={series.values.size} min={series.min_ratio:.6g}",
+        f"retained={series.values.size} min={series.values.min(initial=np.inf):.6g}",
         [("ratio.svg", "ratio_vs_iter", [("ratio", series.index, series.values)])],
     )
 
 
 def _certificate_sets():
-    gaps = [2.0 * k * np.pi + 1.5 * np.pi for k in range(4)]
     return {
         "pair_line": np.array([0.0, 3.0]),
         "unit_triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-        "sine_zero_lattice": np.array([0.0] + gaps),
+        "sine_zero_lattice": np.concatenate(SinePlusOne.known_solutions[:5]),
     }
 
 

@@ -98,6 +98,12 @@ def gen_recovery(m, n, k, seed):
     )
 
 
+def check_step_tolerance(tol):
+    """Reject a step-norm tolerance whose square, SquaredStep's threshold, is not finite and positive."""
+    if not 0 < tol * tol < math.inf:
+        raise ValueError(f"tol {tol:g} has the square {tol * tol:g}, which must be positive and finite")
+
+
 @dataclass(eq=False)
 class TableSpec:
     """Grid of runs for one scalar benchmark problem."""
@@ -119,6 +125,8 @@ class TableSpec:
             raise ValueError("tolerances must be nonempty")
         if not all(0 < tol < math.inf for tol in self.tolerances):
             raise ValueError("tolerances must be positive and finite")
+        for tol in self.tolerances:
+            check_step_tolerance(tol)
 
 
 @dataclass(frozen=True)

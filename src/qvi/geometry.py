@@ -4,7 +4,8 @@ Two set variants are supported: axis-aligned boxes (closed-form clamping,
 possibly unbounded on either side) and the l1 ball handled through its
 supporting-halfspace relaxation built from a subgradient of
 ``c(u) = ||u||_1 - omega`` at an anchor point. ``projector`` alone picks a
-set's projection; ``solve`` and ``project`` both run the closure it returns.
+set's projection; ``project`` and the array step of ``solve`` run the
+closure it returns, and a 1-d box in ``solve`` clamps in the float step.
 Projections satisfy the standard obtuse-angle and nonexpansiveness
 identities, which the test suite checks by sampling.
 """
@@ -74,9 +75,6 @@ class HalfSpaceRelaxedL1Ball:
             raise ValueError("radius must be nonnegative")
 
 
-FeasibleSet = Box | HalfSpaceRelaxedL1Ball
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionContext:
     """Anchor point the relaxed l1 halfspace is built at; tau = sign(anchor)."""
@@ -85,11 +83,6 @@ class ProjectionContext:
 
     def __post_init__(self):
         object.__setattr__(self, "anchor", _frozen_vector(self.anchor, "anchor"))
-
-
-def box_clamp(x, lo, hi):
-    """Clamp x into [lo, hi] componentwise; the caller matches the shapes."""
-    return np.minimum(np.maximum(x, lo), hi)
 
 
 def relaxed_l1_step(x, anchor, omega):
@@ -123,7 +116,7 @@ def projector(feasible_set, x, anchor):
         if x.shape != feasible_set.lo.shape:
             raise ValueError(f"dimension mismatch: x {x.shape}, box dim {feasible_set.dim}")
         lo, hi = feasible_set.lo, feasible_set.hi
-        return lambda u, w: box_clamp(w, lo, hi)
+        return lambda u, w: np.minimum(np.maximum(w, lo), hi)
     if isinstance(feasible_set, HalfSpaceRelaxedL1Ball):
         if anchor is None:
             raise ValueError("relaxed l1 projection requires a ProjectionContext")

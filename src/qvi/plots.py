@@ -92,7 +92,8 @@ def _ticks(lo, hi, log):
 
 
 def _line_plot(series, log, ylabel):
-    """Line plot against iteration; under `log` both axes are log10."""
+    """Line plot against iteration; under `log` both axes are log10. A series
+    with no plottable point draws no line; the axes span the other series."""
     canvas = _Canvas(_ML, _MT, _W - _ML - _MR, _H - _MT - _MB)
     clean = []
     for label, x, y in series:
@@ -102,15 +103,13 @@ def _line_plot(series, log, ylabel):
         if log:
             keep &= (x > 0) & (y > 0)
         x, y = x[keep], y[keep]
-        if x.size == 0:
-            raise ValueError(f"series {label!r} has no plottable points")
         if log:
             x, y = np.log10(x), np.log10(y)
         clean.append((label, x, y))
-    xlo = min(x.min() for _, x, _ in clean)
-    xhi = max(x.max() for _, x, _ in clean)
-    ylo = min(y.min() for _, _, y in clean)
-    yhi = max(y.max() for _, _, y in clean)
+    xs = np.concatenate([x for _, x, _ in clean])
+    ys = np.concatenate([y for _, _, y in clean])
+    xlo, xhi = (xs.min(), xs.max()) if xs.size else (0.0, 0.0)
+    ylo, yhi = (ys.min(), ys.max()) if ys.size else (0.0, 0.0)
     xt, xtv = _ticks(xlo, xhi, log)
     yt, ytv = _ticks(ylo, yhi, log)
     _axes(canvas, _norm(xt, xlo, xhi), _norm(yt, ylo, yhi), xtv, ytv, "iteration", ylabel)

@@ -288,7 +288,7 @@ def solve(f, feasible_set, u1, cfg):
     start = _as_vector(u1, "initial point")
     if not np.isfinite(start).all():
         raise ValueError("initial point must be finite")
-    # the projection also checks the start against the feasible set
+    # projector checks only the start's shape: starts outside the set are allowed
     project = projector(feasible_set, start, start)
     if isinstance(feasible_set, Box) and start.shape == (1,):
         step = partial(_scalar_step, feasible_set.lo.item(), feasible_set.hi.item())

@@ -29,6 +29,22 @@ def scalar_config(mu, col_tol, max_iters=500):
     )
 
 
+def corrupted_audit_worst_slack(trace, f, u, mu):
+    """Audit each iteration with the correction term dropped (u_{n+1} := z_n)."""
+    worst = -np.inf
+    for n in range(trace.iterations):
+        step = qvi.SolveTrace(
+            u=np.vstack([trace.u[n], trace.z[n]]),
+            z=trace.z[n : n + 1],
+            lam=trace.lam[n : n + 2],
+            errors=trace.errors[n : n + 1],
+            residuals=trace.residuals[n : n + 1],
+            operator_diffs=trace.operator_diffs[n : n + 1],
+        )
+        worst = max(worst, qvi.fejer_audit(step, f, u, mu))
+    return worst
+
+
 def hull_lipschitz(f, trace):
     """Lipschitz constant governing a trace's step-size bounds.
 

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import qvi
-from conftest import hull_lipschitz, scalar_config
+from conftest import corrupted_audit_worst_slack, hull_lipschitz, scalar_config
 from qvi.geometry import projector
 
 
@@ -128,21 +128,6 @@ def test_criterion_4_ratio_identity_and_positivity(recovery_runs):
         assert case1[0].ratio_series.min_ratio > 0.0
 
 
-def _corrupted_worst_slack(trace, f, u, mu):
-    worst = -np.inf
-    for n in range(trace.iterations):
-        step = qvi.SolveTrace(
-            u=np.vstack([trace.u[n], trace.z[n]]),
-            z=trace.z[n : n + 1],
-            lam=trace.lam[n : n + 2],
-            errors=trace.errors[n : n + 1],
-            residuals=trace.residuals[n : n + 1],
-            operator_diffs=trace.operator_diffs[n : n + 1],
-        )
-        worst = max(worst, qvi.fejer_audit(step, f, u, mu))
-    return worst
-
-
 def test_criterion_5_fejer_audit(cubic_runs, sine_runs):
     cubic_f, cubic_rows, _ = cubic_runs
     sine_f, sine_rows, _ = sine_runs
@@ -153,7 +138,7 @@ def test_criterion_5_fejer_audit(cubic_runs, sine_runs):
         for _, result in sine_rows.values():
             assert qvi.fejer_audit(result.trace, sine_f, zero, 0.5) <= 1e-9
         control = sine_rows[(4.0, 1e-6)][1]
-        assert _corrupted_worst_slack(control.trace, sine_f, zero, 0.5) > 1e-6
+        assert corrupted_audit_worst_slack(control.trace, sine_f, zero, 0.5) > 1e-6
 
 
 def test_criterion_6_step_size_invariants(cubic_runs, sine_runs, recovery_runs):

@@ -309,6 +309,24 @@ def test_each_command_writes_its_files_and_prints_its_csv_path(tmp_path, capsys,
         assert ET.parse(tmp_path / name).getroot().tag.endswith("svg")
 
 
+@pytest.mark.parametrize("argv, summary", [
+    (["solve", "--problem", "cubic", "--u1", "0"], "iterations=1 status=converged final=0 "),
+    (["recovery", "--M", "5", "--N", "10", "--K", "0"], "iterations=1 status=converged final_mse=0 "),
+    (["ratio", "--problem", "sine", "--u1", "0.003734"], "ref=0 retained=0 min=inf "),
+])
+def test_a_run_whose_series_has_no_plottable_point_exits_0(tmp_path, capsys, argv, summary):
+    # the error, the MSE or every ratio is zero, so a log plot has no point
+    # to draw and the ratio series is empty
+    assert main([*argv, "--plot", "--out", str(tmp_path)]) == 0
+    assert summary in capsys.readouterr().out
+    files = _OUTPUTS[argv[0]][1]
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
+    for name in files[1:]:
+        assert ET.parse(tmp_path / name).getroot().tag.endswith("svg")
+    if argv[0] == "ratio":
+        assert (tmp_path / "ratio.csv").read_text() == "n,ratio\n"
+
+
 def test_table1_command(tmp_path, capsys):
     assert main(["table1", "--out", str(tmp_path)]) == 0
     rows = _read_csv(tmp_path / "table1.csv")
@@ -512,6 +530,24 @@ def test_svg_stem_panels(tmp_path):
     content = path.read_text()
     assert content.count("original") == 1 and "recovered" in content
     ET.parse(path)
+
+
+@pytest.mark.parametrize("kind, empty", [
+    ("error_vs_iter_loglog", ("zero", [1, 2], [0.0, 0.0])),
+    ("ratio_vs_iter", ("none", [], [])),
+])
+def test_svg_line_plot_draws_a_series_without_plottable_points_as_nothing(tmp_path, kind, empty):
+    drawn = ("err", np.arange(1, 10), 2.0 ** -np.arange(9))
+    emit_svg_plot([drawn], kind, tmp_path / "alone.svg")
+    emit_svg_plot([drawn, empty], kind, tmp_path / "both.svg")
+    alone = (tmp_path / "alone.svg").read_text().splitlines()
+    both = (tmp_path / "both.svg").read_text().splitlines()
+    # the axes are the drawn series' alone; the empty one adds an empty line and its label
+    assert both[: len(alone) - 1] == alone[:-1]
+    assert both[len(alone) - 1].startswith('<polyline points="" ')
+    assert both[len(alone)].endswith(f">{empty[0]}</text>") and both[-1] == "</svg>"
+    emit_svg_plot([empty], kind, tmp_path / "empty.svg")
+    ET.parse(tmp_path / "empty.svg")
 
 
 def test_svg_loglog_filters_nonpositive(tmp_path):

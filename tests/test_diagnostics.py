@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import scalar_config
+from conftest import corrupted_audit_worst_slack, scalar_config
 from qvi import (
     LeastSquares,
     Mapping,
@@ -161,6 +161,18 @@ def test_overwide_slabs_are_rejected():
     assert not verify_disjointness(bad, samples=1000, seed=0)
 
 
+def test_a_misdirected_slab_is_rejected_by_sampling():
+    cert = build_separation_certificate([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # the points and delta still pass the margin check, so only the sampled
+    # points of slab 0, now along the direction it takes toward point 1,
+    # can show that they enter slab 1
+    directions = cert.directions.copy()
+    directions[0, 1] = [0.0, 1.0]
+    bad = dataclasses.replace(cert, directions=directions)
+    assert verify_disjointness(cert, samples=10_000, seed=1)
+    assert not verify_disjointness(bad, samples=10_000, seed=1)
+
+
 # --- rate estimation ------------------------------------------------------
 
 def test_rate_estimator_geometric():
@@ -201,22 +213,6 @@ def test_rate_estimator_on_solver_run():
 
 
 # --- contraction audit ----------------------------------------------------
-
-def corrupted_audit_worst_slack(trace, f, u, mu):
-    """Audit each iteration with the correction term dropped (u_{n+1} := z_n)."""
-    worst = -np.inf
-    for n in range(trace.iterations):
-        step = SolveTrace(
-            u=np.vstack([trace.u[n], trace.z[n]]),
-            z=trace.z[n : n + 1],
-            lam=trace.lam[n : n + 2],
-            errors=trace.errors[n : n + 1],
-            residuals=trace.residuals[n : n + 1],
-            operator_diffs=trace.operator_diffs[n : n + 1],
-        )
-        worst = max(worst, fejer_audit(step, f, u, mu))
-    return worst
-
 
 def test_fejer_audit_negative_control():
     f, ray = sine_problem()

@@ -1,5 +1,7 @@
 """Instance generators, table runners, and the recovery study."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,12 @@ def test_table_spec_validation():
     for bad in (0.0, -1e-6, np.nan, np.inf):
         for tolerances in ((bad,), (1e-6, bad), (bad, 1e-8)):
             with pytest.raises(ValueError, match="tolerances must be positive"):
+                TableSpec(problem="cubic", initial_points=(1.0,), tolerances=tolerances)
+    # the rows stop on tol**2, which must stay a positive finite float
+    for tol, square in ((1e200, "inf"), (1e-170, "0")):
+        message = f"tol {tol:g} has the square {square}, which must be positive and finite"
+        for tolerances in ((tol,), (1e-6, tol)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TableSpec(problem="cubic", initial_points=(1.0,), tolerances=tolerances)
 
 

@@ -263,6 +263,10 @@ def estimate_rates(errors, tail_window=20):
     q_factor is the median ratio of successive errors over the last
     tail_window entries; sublinear_order is the negated slope of log(error)
     against log(n) over the same tail.
+
+    n counts from 1 at the first entry of errors: pass a run's errors from its
+    first step, since a later slice gives a wrong order (0.002 for 1.2 on the
+    last 20 of 5000 distances of piecewise from 0.6 to 0).
     """
     e = np.asarray(errors, dtype=np.float64)
     if tail_window < 3:

@@ -4,8 +4,8 @@ Two set variants are supported: axis-aligned boxes (closed-form clamping,
 possibly unbounded on either side) and the l1 ball handled through its
 supporting-halfspace relaxation built from a subgradient of
 ``c(u) = ||u||_1 - omega`` at an anchor point. ``projector`` alone picks a
-set's projection; ``project`` and the array step of ``solve`` run the
-closure it returns, and a 1-d box in ``solve`` clamps in the float step.
+set's projection; ``project`` and the array form of ``solve``'s step run
+the closure it returns; the float form, for a 1-d box, clamps by itself.
 Projections satisfy the standard obtuse-angle and nonexpansiveness
 identities, which the test suite checks by sampling.
 """

@@ -82,6 +82,14 @@ class SinePlusOne(Mapping):
         x = np.asarray(x, dtype=np.float64)
         return 1.0 + np.sin(x)
 
+    def nearest_solution(self, x):
+        """The zero nearest to a finite x, beyond the stored prefix too; ties take the smaller."""
+        x = np.asarray(x, dtype=np.float64).item()
+        # the two lattice zeros around x, each built as known_solutions builds it
+        k = max(int((x - 1.5 * np.pi) // (2.0 * np.pi)), 0)
+        zeros = [0.0] + [2.0 * j * np.pi + 1.5 * np.pi for j in (k, k + 1)]
+        return np.array([min(zeros, key=lambda zero: abs(x - zero))])
+
     def lipschitz_on(self, lo, hi):
         return 1.0
 

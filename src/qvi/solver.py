@@ -19,23 +19,22 @@ u_{n+1} to about u_n while z_n lies far from it; ``MseToReference`` stops on
 the mean squared error to a reference point.
 
 The loop of ``solve`` owns the step-size rule, the stop rule's ``check`` and
-the record of each step; the two steps keep only Tseng's arithmetic.
-
-``solve`` picks its step once per call from the feasible set and the start.
-A start of shape (1,) in a Box runs the step on Python floats, where numpy
-calls on one-element arrays would cost about ten times the arithmetic; it
-calls F on a fresh float64 array of shape (1,) and clamps with the tie rule
-of np.maximum / np.minimum, so its traces equal the array step's bit for
-bit. Every other start runs the array step, which projects through the
-closure ``geometry.projector`` resolves once per call.
+the record of each step. It builds the one step function, Tseng's
+arithmetic and its checks, once per call in one of two forms. A start of
+shape (1,) in a Box takes the float form, where numpy calls on one-element
+arrays would cost about ten times the arithmetic: it calls F on a fresh
+float64 array of shape (1,) and clamps with the tie rule of np.maximum /
+np.minimum, so its traces equal the array form's bit for bit. Every other
+start takes the array form, which projects through the closure
+``geometry.projector`` resolves once per call.
 
 Every solve returns its status, its loop's wall time and its full trace.
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -65,14 +64,15 @@ class XiSequence:
 
     def value(self, n):
         """Perturbation xi_n for iteration n >= 1."""
-        return self.scale / (n + 1) ** self.exponent
+        try:
+            return self.scale / (n + 1) ** self.exponent
+        except OverflowError:
+            # past the float range; the reciprocal power underflows instead
+            return self.scale * (n + 1) ** -self.exponent
 
     def prefix_sums(self, count):
-        """Array [0, xi_1, xi_1+xi_2, ...] of length count."""
-        if count < 1:
-            return np.zeros(0)
-        vals = self.scale / (np.arange(2, count + 1, dtype=np.float64) ** self.exponent)
-        return np.concatenate([[0.0], np.cumsum(vals)])
+        """[0, xi_1, xi_1+xi_2, ...] of length count (empty below 1), summing value(n) itself."""
+        return np.cumsum([0.0] + [self.value(n) for n in range(1, count)])[:count]
 
 
 #: bound on ||u_n - z_n|| / (lam_n sqrt(tol)); the scalar grids' multi-step stops reach 4.76
@@ -187,92 +187,74 @@ class SolveResult:
         return self.trace.u[-1].copy()
 
 
-def _next_step(lam, xi_n, res, df, mu):
-    """The step rule: min(mu res / df, lam + xi_n), or lam + xi_n when df is 0."""
-    if df == 0.0:
-        return lam + xi_n
-    return min(mu * res / df, lam + xi_n)
-
-
-def _non_finite(what, n):
-    return NumericError(f"non-finite {what} at iteration {n}", iteration=n)
-
-
 def _check_finite(values, n, what):
     if not np.isfinite(values).all():
-        raise _non_finite(what, n)
+        raise NumericError(f"non-finite {what} at iteration {n}", iteration=n)
 
 
-def _step(project, u, lam, f, n):
-    """Tseng's step n from u_n with step size lam; returns (u_{n+1}, z_n, res, df, err_sq)."""
-    fu = np.asarray(f(u), dtype=np.float64)
-    if fu.shape != u.shape:
-        raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n {u.shape}")
-    w = u - lam * fu
+def _evaluate(f, x, n, name):
+    """F(x) for an array x, checked for shape and finiteness."""
+    out = np.asarray(f(x), dtype=np.float64)
+    if out.shape != x.shape:
+        raise ValueError(f"dimension mismatch: F({name}) {out.shape}, {name} {x.shape}")
     # a NaN or inf entry makes the square sum non-finite; the array check
     # then tells it from an overflow of finite entries
-    if not math.isfinite(fu.dot(fu)):
-        _check_finite(fu, n, "operator value F(u_n)")
-    try:
-        z = project(u, w)
-    except RuntimeError as exc:
-        # at a zero anchor an overflowed u_n - lam F(u_n) leaves the relaxed
-        # halfspace test NaN, which the projection reports this way
-        raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
-    fz = np.asarray(f(z), dtype=np.float64)
-    if fz.shape != z.shape:
-        raise ValueError(f"dimension mismatch: F(z_n) {fz.shape}, z_n {z.shape}")
-    # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
-    dfv = fu - fz
-    duz = u - z
-    u_next = z + lam * dfv
-    res = math.sqrt(duz.dot(duz))
-    df = math.sqrt(dfv.dot(dfv))
-    d = u_next - u
-    err_sq = float(np.add.reduce(d * d))
-    # with F(u_n) finite, a non-finite entry of F(z_n) makes df non-finite
-    # and one of u_{n+1} makes err_sq non-finite; the array checks then
-    # name which value failed
-    if not (math.isfinite(df) and math.isfinite(err_sq)):
-        _check_finite(fz, n, "operator value F(z_n)")
-        _check_finite(u_next, n, "iterate u_{n+1}")
-    return u_next, z, res, df, err_sq
+    if not math.isfinite(out.dot(out)):
+        _check_finite(out, n, f"operator value F({name})")
+    return out
 
 
-def _scalar_step(lo, hi, u, lam, f, n):
-    """_step on Python floats, for a start of shape (1,) in the box [lo, hi].
+def _evaluate_float(f, x, n, name):
+    """F(x) for a float x, called on a fresh float64 array of shape (1,)."""
+    out = np.asarray(f(np.array((x,))), dtype=np.float64)
+    if out.shape != (1,):
+        raise ValueError(f"dimension mismatch: F({name}) {out.shape}, {name} (1,)")
+    out = out.item()
+    if not math.isfinite(out):
+        _check_finite(out, n, f"operator value F({name})")
+    return out
 
-    Each float operation is the one IEEE operation the array step applies to
-    its single entry, so both steps give the same bits.
+
+def _clamp(lo, hi):
+    """The projection of a float onto [lo, hi]."""
+
+    def clamp(u, w):
+        # np.maximum and np.minimum return their second argument on a tie,
+        # which decides the sign of a zero clamped to a zero bound
+        w = w if w > lo else lo
+        return w if w < hi else hi
+
+    return clamp
+
+
+def _tseng_step(f, evaluate, project, dot, total):
+    """step(u_n, lam, n) -> (u_{n+1}, z_n, res, df, err_sq) on float64 arrays or on floats.
+
+    evaluate gives the checked F(x), project(u_n, w) projects w, dot takes the
+    norms and total sums the squared entries of u_{n+1} - u_n.
     """
-    fu = np.asarray(f(np.array((u,))), dtype=np.float64)
-    if fu.shape != (1,):
-        raise ValueError(f"dimension mismatch: F(u_n) {fu.shape}, u_n (1,)")
-    fu = fu.item()
-    if not math.isfinite(fu):
-        raise _non_finite("operator value F(u_n)", n)
-    w = u - lam * fu
-    # np.maximum and np.minimum return their second argument on a tie,
-    # which decides the sign of a zero clamped to a zero bound
-    w = w if w > lo else lo
-    z = w if w < hi else hi
-    fz = np.asarray(f(np.array((z,))), dtype=np.float64)
-    if fz.shape != (1,):
-        raise ValueError(f"dimension mismatch: F(z_n) {fz.shape}, z_n (1,)")
-    fz = fz.item()
-    dfv = fu - fz
-    duz = u - z
-    u_next = z + lam * dfv
-    res = math.sqrt(duz * duz)
-    df = math.sqrt(dfv * dfv)
-    d = u_next - u
-    err_sq = d * d
-    # an overflow of err_sq alone, with u_{n+1} finite, is no failure
-    if not math.isfinite(fz):
-        raise _non_finite("operator value F(z_n)", n)
-    if not math.isfinite(u_next):
-        raise _non_finite("iterate u_{n+1}", n)
-    return u_next, z, res, df, err_sq
+
+    def step(u, lam, n):
+        fu = evaluate(f, u, n, "u_n")
+        try:
+            z = project(u, u - lam * fu)
+        except RuntimeError as exc:
+            # at a zero anchor an overflowed u_n - lam F(u_n) leaves the relaxed
+            # halfspace test NaN, which the projection reports this way
+            raise NumericError(f"{exc} at iteration {n}", iteration=n) from exc
+        fz = evaluate(f, z, n, "z_n")
+        dfv = fu - fz
+        duz = u - z
+        u_next = z + lam * dfv
+        d = u_next - u
+        err_sq = total(d * d)
+        # an overflow of err_sq alone, with u_{n+1} finite, is no failure
+        if not math.isfinite(err_sq):
+            _check_finite(u_next, n, "iterate u_{n+1}")
+        # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
+        return u_next, z, math.sqrt(dot(duz, duz)), math.sqrt(dot(dfv, dfv)), err_sq
+
+    return step
 
 
 # numpy's overflow and invalid-value warnings are silenced once per call:
@@ -291,10 +273,12 @@ def solve(f, feasible_set, u1, cfg):
     # projector checks only the start's shape: starts outside the set are allowed
     project = projector(feasible_set, start, start)
     if isinstance(feasible_set, Box) and start.shape == (1,):
-        step = partial(_scalar_step, feasible_set.lo.item(), feasible_set.hi.item())
+        clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
+        step = _tseng_step(f, _evaluate_float, clamp, operator.mul, float)
         first = start.item()
     else:
-        step, first = partial(_step, project), start
+        # np.add.reduce sums pairwise, as the array step always did; np.dot differs in the last bits
+        step, first = _tseng_step(f, _evaluate, project, np.dot, np.add.reduce), start
     stop = cfg.stop
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
@@ -306,9 +290,11 @@ def solve(f, feasible_set, u1, cfg):
     status = "max_iters"
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u_next, z, res, df, err_sq = step(u, lam, f, n)
+        u_next, z, res, df, err_sq = step(u, lam, n)
         error, done = check(u_next, err_sq, res, lam)
-        u, lam = u_next, _next_step(lam, xi(n), res, df, mu)
+        # the step-size rule: min(mu res / df, lam + xi_n), or lam + xi_n when df is 0
+        grown = lam + xi(n)
+        u, lam = u_next, (grown if df == 0.0 else min(mu * res / df, grown))
         records.append((u, z, lam, error, res, df))
         if done:
             status = "converged"

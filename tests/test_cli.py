@@ -1,7 +1,10 @@
 """Config resolution, CSV fidelity, command outputs, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,9 +13,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qvi
-from qvi.cli import _table_spec, emit_csv, main, parse_config, write_config
+from qvi.cli import COMMANDS, _OPTIONS, _table_spec, emit_csv, main, parse_config, write_config
 from qvi.plots import emit_svg_plot
 
 
@@ -420,6 +425,33 @@ def test_ratio_command(tmp_path, capsys):
     assert values.tolist() == series.values.tolist()
 
 
+@pytest.mark.parametrize("command", ["rates", "ratio"])
+def test_sine_run_beyond_the_stored_zeros_is_measured_against_its_own_limit(tmp_path, capsys, command):
+    # from 100 the run ends at the zero 3 pi/2 + 30 pi, past the stored zeros up to 8 pi
+    assert main([command, "--problem", "sine", "--u1", "100", "--out", str(tmp_path)]) == 0
+    f, result = _library_scalar_run("sine", 100.0, max_iters=2000 if command == "ratio" else 500)
+    limit = f.nearest_solution(result.final_point)
+    assert limit[0] == 2.0 * 15 * np.pi + 1.5 * np.pi
+    assert abs(result.final_point[0] - limit[0]) < 1e-3
+    rows = _read_csv(tmp_path / f"{command}.csv")
+    if command == "rates":
+        errors = np.linalg.norm(result.trace.u - limit, axis=1)
+        assert _column(rows, "error") == errors[errors > 0].tolist()
+        assert "q_factor=1 " not in capsys.readouterr().out
+    else:
+        assert "ref=98.9602 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--xi-exp", "2000"],
+    ["solve", "--problem", "piecewise", "--xi-exp", "100", "--max-iters", "2000"],
+])
+def test_a_step_perturbation_whose_power_overflows_runs(tmp_path, capsys, argv):
+    # (n + 1) ** xi_exp leaves the float range, at iteration 1 and at 1300
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert "status=converged" in capsys.readouterr().out
+
+
 def test_ratio_against_a_reference_out_of_float_range_exits_2(tmp_path, capsys):
     for ref in ("1e120", "1e150", "1e200"):
         assert main(["ratio", "--ref", ref, "--out", str(tmp_path)]) == 2
@@ -558,3 +590,62 @@ def test_svg_loglog_filters_nonpositive(tmp_path):
         path,
     )
     ET.parse(path)
+
+
+# --- one property over every argv --------------------------------------------
+
+#: float flag values: finite, extreme, non-finite and negative; the first two
+#: ranges hold the valid mu and tol, and the valid lambda1 and xi-exp
+_FLOATS = st.one_of(
+    st.floats(0.01, 0.99),
+    st.floats(1.01, 3.0),
+    st.floats(-5.0, 5.0),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, 1e-170, 1.1, 2.0, 100.0, 2000.0, 1e200, -1e300,
+        1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    ]),
+)
+#: only to bound the run time, these flags are always given and drawn at most
+#: this large: recovery's M and N and every solving command's max-iters
+_CAPS = {"m": 40, "n": 40, "max_iters": 200}
+
+
+@st.composite
+def _argvs(draw):
+    """A command and a subset of its own flags from the RunConfig option table; --out is the caller's."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command]
+    for opt in _OPTIONS:
+        meta = opt.metadata
+        if command not in meta["commands"] or opt.name == "out":
+            continue
+        if opt.name not in _CAPS and not draw(st.sampled_from((True, False, False))):
+            continue
+        flag = meta["flag"] or "--" + opt.name.replace("_", "-")
+        if opt.type is bool:
+            argv.append(flag)
+        elif opt.type is tuple:
+            argv += [f"{flag}={v!r}" for v in draw(st.lists(_FLOATS, min_size=1, max_size=2))]
+        elif meta["choices"]:
+            argv.append(f"{flag}={draw(st.sampled_from(meta['choices']))}")
+        elif opt.type is int:
+            argv.append(f"{flag}={draw(st.integers(-2, _CAPS.get(opt.name, 12)))}")
+        else:
+            argv.append(f"{flag}={draw(_FLOATS)!r}")
+    return argv
+
+
+@settings(
+    derandomize=True, deadline=None, database=None, max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_argvs())
+@example(argv=["solve", "--xi-exp=2000.0", "--max-iters=200"])
+def test_every_argv_ends_in_an_exit_code(tmp_path, argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # a warning is an error here, as in the whole suite, so none can leak
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv + ["--out", str(tmp_path)])
+    assert code in (0, 2, 3), argv
+    expected = {0: "", 2: "input error: ", 3: "numeric failure: "}[code]
+    assert stderr.getvalue().startswith(expected) and stderr.getvalue().count("\n") == (code != 0), argv

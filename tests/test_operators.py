@@ -362,6 +362,19 @@ def test_nearest_solution_tie_takes_the_first():
     cubic = CubicQuasi()
     assert cubic.nearest_solution([0.5])[0] == 0.0
     assert cubic.nearest_solution([-0.5])[0] == -1.0
+    # 0.75 pi is as far from 0 as from the first sine zero 1.5 pi
+    assert SinePlusOne().nearest_solution([0.75 * np.pi])[0] == 0.0
+
+
+def test_sine_nearest_solution_reaches_beyond_the_stored_zeros():
+    sine = SinePlusOne()
+    # inside the stored prefix it picks what the search over known_solutions picks
+    for x in np.linspace(-5.0, 9.0 * np.pi, 2001):
+        assert sine.nearest_solution([x]).tobytes() == qvi.Mapping.nearest_solution(sine, [x]).tobytes()
+    # the zero 3 pi/2 + 15 * 2 pi, built as the stored zeros are
+    near = sine.nearest_solution(np.array([100.0]))
+    assert near.shape == (1,) and near[0] == 2.0 * 15 * np.pi + 1.5 * np.pi
+    assert sine.nearest_solution([-1e300])[0] == 0.0
 
 
 def test_check_hypotheses_validation():

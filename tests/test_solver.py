@@ -39,7 +39,6 @@ from qvi import (
     tseng_identity_error,
 )
 from qvi.experiments import default_recovery_config
-from qvi.solver import _next_step
 
 XI_DEFAULT = XiSequence(100.0, 1.1)
 
@@ -69,19 +68,23 @@ def test_xi_prefix_sums():
     np.testing.assert_allclose(sums, direct, rtol=1e-15)
 
 
-# --- step-size update ----------------------------------------------------
+def test_xi_value_whose_power_leaves_the_float_range_underflows():
+    # (n + 1) ** exponent overflows; the value is its reciprocal's underflow
+    assert XiSequence(1.0, 2000.0).value(1) == 0.0
+    assert XiSequence(100.0, 100.0).value(1300) == 100.0 * 1301.0 ** -100.0 > 0.0
+    # a value inside the range keeps its bits
+    assert XiSequence(100.0, 100.0).value(1000) == 100.0 / 1001 ** 100.0
 
-def test_next_step_first_iteration_example():
-    # u = 0.6, z = 0.36, F(u) = 0.24, F(z) = 0.2304: res = 0.24, df = 0.0096
-    lam2 = _next_step(1.0, XI_DEFAULT.value(1), 0.24, 0.0096, 0.3)
-    assert lam2 == pytest.approx(7.5, abs=1e-12)
 
-
-def test_next_step_equal_operator_values():
-    # u = 1, z = 0.5 and F(u) = F(z) = 2: res = 0.5, df = 0
-    assert _next_step(1.0, 0.25, 0.5, 0.0, 0.3) == 1.25
-    # both operator values vanish at fixed points: u = 2, z = -1, res = 3
-    assert _next_step(0.15, 0.5, 3.0, 0.0, 0.3) == 0.65
+def test_xi_prefix_sums_add_the_values_without_a_warning():
+    # numpy's power warned and gave inf here; the sums now add value(n) itself
+    seq = XiSequence(100.0, 100.0)
+    sums = seq.prefix_sums(1400)
+    expected = 0.0
+    for n in range(1, 1400):
+        expected += seq.value(n)
+        assert sums[n] == expected
+    assert sums[0] == 0.0 and sums.shape == (1400,)
 
 
 # --- single step ---------------------------------------------------------
@@ -493,6 +496,18 @@ def test_overflowing_step_norm_with_finite_iterates_runs_on():
         assert np.all(result.trace.errors == np.inf)
 
 
+@pytest.mark.parametrize("where", ["box", "box_1d"])
+def test_equal_operator_values_take_the_additive_branch(where):
+    # a constant F gives F(u_n) = F(z_n), so every step grows by xi_n exactly
+    cfg = scalar_config(mu=0.3, col_tol=1e-6, max_iters=30)
+    result = solve(lambda x: np.full(x.shape, -1.0), GUARD_SETS[where], _guard_start(where), cfg)
+    trace = result.trace
+    assert result.status == "max_iters"
+    assert np.all(trace.operator_diffs == 0.0)
+    xi = np.array([cfg.xi_params.value(n) for n in range(1, trace.iterations + 1)])
+    assert np.all(trace.lam[1:] == trace.lam[:-1] + xi)
+
+
 # --- the loop against a reference step ------------------------------------
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -584,6 +599,18 @@ def test_solve_equals_reference_step_under_every_stopping_rule(problem, stop):
     for u1 in (0.6, -0.7, 2.0, -3.0, 0.015, 5.0, -0.0):
         reference = _reference_solve(f, feasible_set, u1, cfg)
         _assert_same_run(solve(f, feasible_set, u1, cfg), reference)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_solve_equals_reference_step_on_multi_dimensional_boxes(dim):
+    # the array form sums the squared step as the reference does; np.dot
+    # would differ from it in the last bits
+    box = Box(np.full(dim, -1.0), np.full(dim, 1.0))
+    cfg = scalar_config(mu=0.3, col_tol=1e-8)
+    starts = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(4, dim))
+    for f in (CubicQuasi(), SinePlusOne(), PiecewiseQuad()):
+        for u1 in starts:
+            _assert_same_run(solve(f, box, u1, cfg), _reference_solve(f, box, u1, cfg))
 
 
 def test_float_step_clamps_a_zero_to_the_bound_like_np_maximum():

@@ -376,14 +376,17 @@ def _cmd_ratio(cfg):
     )
 
 
-def _cmd_certify(cfg):
-    sets = {
+def _certificate_sets():
+    return {
         "pair_line": np.array([0.0, 3.0]),
         "unit_triangle": np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         "sine_zero_lattice": np.concatenate(SinePlusOne.known_solutions[:5]),
     }
+
+
+def _cmd_certify(cfg):
     rows = []
-    for name, pts in sets.items():
+    for name, pts in _certificate_sets().items():
         cert = diagnostics.build_separation_certificate(pts)
         ok = diagnostics.verify_disjointness(cert, samples=10_000, seed=cfg.seed)
         rows.append((name, pts.shape[0], cert.delta, ok))

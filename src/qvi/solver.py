@@ -277,7 +277,7 @@ def solve(f, feasible_set, u1, cfg):
         step = _tseng_step(f, _evaluate_float, clamp, operator.mul, float)
         first = start.item()
     else:
-        # np.add.reduce sums pairwise, as the array step always did; np.dot differs in the last bits
+        # np.add.reduce sums pairwise; np.dot would change err_sq in the last bits
         step, first = _tseng_step(f, _evaluate, project, np.dot, np.add.reduce), start
     stop = cfg.stop
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:

@@ -77,7 +77,7 @@ def test_xi_value_whose_power_leaves_the_float_range_underflows():
 
 
 def test_xi_prefix_sums_add_the_values_without_a_warning():
-    # numpy's power warned and gave inf here; the sums now add value(n) itself
+    # the power overflows from n = 1300 on; the sums add value(n), which underflows there
     seq = XiSequence(100.0, 100.0)
     sums = seq.prefix_sums(1400)
     expected = 0.0

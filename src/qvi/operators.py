@@ -68,14 +68,17 @@ class CubicQuasi(Mapping):
         return max(abs(1.0 - 2.0 * tmin), abs(1.0 - 2.0 * tmax))
 
 
+def _sine_zero(k):
+    """The zero 3*pi/2 + 2*k*pi of 1 + sin."""
+    return 2.0 * k * np.pi + 1.5 * np.pi
+
+
 class SinePlusOne(Mapping):
     """F(z) = 1 + sin(z), nonnegative and globally 1-Lipschitz."""
 
     dim = 1
-    # zeros 3*pi/2 + 2*k*pi; the stored prefix covers [0, 8*pi]
-    known_solutions = _scalar_solutions(
-        [0.0] + [2.0 * k * np.pi + 1.5 * np.pi for k in range(5)]
-    )
+    # the stored prefix covers [0, 8*pi]
+    known_solutions = _scalar_solutions([0.0] + [_sine_zero(k) for k in range(5)])
     known_dual_solutions = _scalar_solutions([0.0])
 
     def __call__(self, x):
@@ -85,9 +88,9 @@ class SinePlusOne(Mapping):
     def nearest_solution(self, x):
         """The zero nearest to a finite x, beyond the stored prefix too; ties take the smaller."""
         x = np.asarray(x, dtype=np.float64).item()
-        # the two lattice zeros around x, each built as known_solutions builds it
+        # the two lattice zeros around x
         k = max(int((x - 1.5 * np.pi) // (2.0 * np.pi)), 0)
-        zeros = [0.0] + [2.0 * j * np.pi + 1.5 * np.pi for j in (k, k + 1)]
+        zeros = [0.0, _sine_zero(k), _sine_zero(k + 1)]
         return np.array([min(zeros, key=lambda zero: abs(x - zero))])
 
     def lipschitz_on(self, lo, hi):

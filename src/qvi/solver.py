@@ -72,7 +72,7 @@ class XiSequence:
 
     def prefix_sums(self, count):
         """[0, xi_1, xi_1+xi_2, ...] of length count (empty below 1), summing value(n) itself."""
-        return np.cumsum([0.0] + [self.value(n) for n in range(1, count)])[:count]
+        return np.cumsum([0.0, *map(self.value, range(1, count))])[:count]
 
 
 #: bound on ||u_n - z_n|| / (lam_n sqrt(tol)); the scalar grids' multi-step stops reach 4.76
@@ -211,7 +211,7 @@ def _evaluate_float(f, x, n, name):
         raise ValueError(f"dimension mismatch: F({name}) {out.shape}, {name} (1,)")
     out = out.item()
     if not math.isfinite(out):
-        _check_finite(out, n, f"operator value F({name})")
+        raise NumericError(f"non-finite operator value F({name}) at iteration {n}", iteration=n)
     return out
 
 
@@ -274,6 +274,7 @@ def solve(f, feasible_set, u1, cfg):
     project = projector(feasible_set, start, start)
     if isinstance(feasible_set, Box) and start.shape == (1,):
         clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
+        # the float form's err_sq is one square, which float passes through
         step = _tseng_step(f, _evaluate_float, clamp, operator.mul, float)
         first = start.item()
     else:

@@ -69,7 +69,6 @@ class CubicQuasi(Mapping):
 
 
 def _sine_zero(k):
-    """The zero 3*pi/2 + 2*k*pi of 1 + sin."""
     return 2.0 * k * np.pi + 1.5 * np.pi
 
 

@@ -231,7 +231,7 @@ def _tseng_step(f, evaluate, project, dot, total):
     """step(u_n, lam, n) -> (u_{n+1}, z_n, res, df, err_sq) on float64 arrays or on floats.
 
     evaluate gives the checked F(x), project(u_n, w) projects w, dot takes the
-    norms and total sums the squared entries of u_{n+1} - u_n.
+    norms and total sums the squared entries of u_{n+1} - u_n (on floats, the one square).
     """
 
     def step(u, lam, n):
@@ -274,9 +274,7 @@ def solve(f, feasible_set, u1, cfg):
     project = projector(feasible_set, start, start)
     if isinstance(feasible_set, Box) and start.shape == (1,):
         clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
-        # the float form's err_sq is one square, which float passes through
-        step = _tseng_step(f, _evaluate_float, clamp, operator.mul, float)
-        first = start.item()
+        step, first = _tseng_step(f, _evaluate_float, clamp, operator.mul, float), start.item()
     else:
         # np.add.reduce sums pairwise; np.dot would change err_sq in the last bits
         step, first = _tseng_step(f, _evaluate, project, np.dot, np.add.reduce), start

@@ -87,7 +87,6 @@ class SinePlusOne(Mapping):
     def nearest_solution(self, x):
         """The zero nearest to a finite x, beyond the stored prefix too; ties take the smaller."""
         x = np.asarray(x, dtype=np.float64).item()
-        # the two lattice zeros around x
         k = max(int((x - 1.5 * np.pi) // (2.0 * np.pi)), 0)
         zeros = [0.0, _sine_zero(k), _sine_zero(k + 1)]
         return np.array([min(zeros, key=lambda zero: abs(x - zero))])

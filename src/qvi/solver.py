@@ -276,8 +276,9 @@ def solve(f, feasible_set, u1, cfg):
         clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
         step, first = _tseng_step(f, _evaluate_float, clamp, operator.mul, float), start.item()
     else:
-        # np.add.reduce sums pairwise; np.dot would change err_sq in the last bits
-        step, first = _tseng_step(f, _evaluate, project, np.dot, np.add.reduce), start
+        # np.add.reduce sums pairwise, as np.dot does not; float keeps err_sq a Python float
+        step = _tseng_step(f, _evaluate, project, np.dot, lambda sq: float(np.add.reduce(sq)))
+        first = start
     stop = cfg.stop
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
         raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")

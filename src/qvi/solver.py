@@ -276,8 +276,8 @@ def solve(f, feasible_set, u1, cfg):
         clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
         step, first = _tseng_step(f, _evaluate_float, clamp, operator.mul, float), start.item()
     else:
-        # np.add.reduce sums pairwise, as np.dot does not; float keeps err_sq a Python float
-        step = _tseng_step(f, _evaluate, project, np.dot, lambda sq: float(np.add.reduce(sq)))
+        # np.add.reduce sums pairwise, as dot does not; float keeps err_sq a Python float
+        step = _tseng_step(f, _evaluate, project, np.ndarray.dot, lambda d: float(np.add.reduce(d)))
         first = start
     stop = cfg.stop
     if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:

@@ -212,15 +212,21 @@ def default_recovery_config(instance):
 
 class RecoveryOutput(NamedTuple):
     result: SolveResult
-    ratio_series: RatioSeries
+    operator: LeastSquares
+    signal: np.ndarray
+
+    @property
+    def ratio_series(self) -> RatioSeries:
+        """The eps = 1 sharpness-ratio series against the signal, computed on each read."""
+        return ratio_series(self.result.trace, self.operator, self.signal, eps=1.0)
 
 
 def run_recovery(instance, cfg=None):
     """Solve a recovery instance from the zero vector.
 
     Returns the solve result, whose ``trace.errors`` is the per-iteration MSE
-    trajectory, and the eps = 1 sharpness-ratio series against the planted
-    signal.
+    trajectory; the eps = 1 sharpness-ratio series against the planted signal
+    is computed only when ``ratio_series`` is read, as one batched F call.
     """
     if cfg is None:
         cfg = default_recovery_config(instance)
@@ -231,6 +237,4 @@ def run_recovery(instance, cfg=None):
     )
     feasible = HalfSpaceRelaxedL1Ball(instance.omega)
     u1 = np.zeros(instance.mat.shape[1])
-    result = solve(f, feasible, u1, cfg)
-    ratios = ratio_series(result.trace, f, instance.signal, eps=1.0)
-    return RecoveryOutput(result=result, ratio_series=ratios)
+    return RecoveryOutput(result=solve(f, feasible, u1, cfg), operator=f, signal=instance.signal)

@@ -93,16 +93,20 @@ def relaxed_l1_step(x, anchor, omega):
     (<tau, anchor - x> - c) / ||tau||^2.
     """
     tau = np.sign(anchor)
-    c = np.abs(anchor).sum() - omega
-    s = tau @ (anchor - x)
+    # Python floats: each numpy scalar operation would add a dispatch
+    c = float(np.add.reduce(np.abs(anchor))) - omega
+    s = float(tau.dot(anchor - x))
     if c <= s:
         return x.copy()
-    nsq = tau @ tau
+    # ||tau||^2 counts the nonzero signs exactly
+    nsq = float(np.count_nonzero(tau))
     if nsq == 0.0:
         raise RuntimeError(
             "relaxed l1 projection: zero subgradient with violated halfspace"
         )
-    return x + ((s - c) / nsq) * tau
+    tau *= (s - c) / nsq
+    tau += x
+    return tau
 
 
 def projector(feasible_set, x, anchor):

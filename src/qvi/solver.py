@@ -26,7 +26,9 @@ arrays would cost about ten times the arithmetic: it calls F on a fresh
 float64 array of shape (1,) and clamps with the tie rule of np.maximum /
 np.minimum, so its traces equal the array form's bit for bit. Every other
 start takes the array form, which projects through the closure
-``geometry.projector`` resolves once per call.
+``geometry.projector`` resolves once per call. Either form computes only
+the error its stop rule reads: the squared step ||u_{n+1} - u_n||^2 for
+``SquaredStep``, the mean squared error of u_{n+1} for ``MseToReference``.
 
 Every solve returns its status, its loop's wall time and its full trace.
 """
@@ -49,6 +51,14 @@ class NumericError(RuntimeError):
         self.iteration = iteration
 
 
+def _float(x):
+    """float(x), with an integer past the float range taken as an infinity of its sign."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class XiSequence:
     """Summable step perturbations xi_n = scale / (n+1)**exponent."""
@@ -57,10 +67,14 @@ class XiSequence:
     exponent: float = 1.1
 
     def __post_init__(self):
+        # stored as floats: an integer exponent would take an exact integer power
+        for name in ("scale", "exponent"):
+            object.__setattr__(self, name, _float(getattr(self, name)))
         if not 0 <= self.scale < math.inf:
             raise ValueError("scale must be nonnegative and finite")
-        if not self.exponent > 1:
-            raise ValueError("exponent must exceed 1 for summability")
+        # an exponent above 1 makes the perturbations summable
+        if not 1 < self.exponent < math.inf:
+            raise ValueError("exponent must be above 1 and finite")
 
     def value(self, n):
         """Perturbation xi_n for iteration n >= 1."""
@@ -93,9 +107,9 @@ class SquaredStep:
         """Whether step n stops the solve; elementwise on arrays of trace values."""
         return (err_sq < self.tol) & (res <= lam * (CERTIFICATE * math.sqrt(self.tol)))
 
-    def check(self, u_next, err_sq, res, lam):
-        """(error, done) of a step with step size lam; the cheap test rules out most steps first."""
-        return err_sq, err_sq < self.tol and self.converged(err_sq, res, lam)
+    def check(self, err_sq, res, lam):
+        """Whether a step with step size lam stops the solve; the cheap test rules out most steps first."""
+        return err_sq < self.tol and self.converged(err_sq, res, lam)
 
 
 def _mean_squared_error(u, reference):
@@ -118,10 +132,9 @@ class MseToReference:
         if not 0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
 
-    def check(self, u_next, err_sq, res, lam):
-        """(error, done) of one step, the error being the MSE of u_{n+1}."""
-        error = _mean_squared_error(u_next, self.reference)
-        return error, error < self.tol
+    def check(self, error, res, lam):
+        """Whether a step whose u_{n+1} has the mean squared error `error` stops the solve."""
+        return error < self.tol
 
 
 StoppingRule = SquaredStep | MseToReference
@@ -227,11 +240,22 @@ def _clamp(lo, hi):
     return clamp
 
 
-def _tseng_step(f, evaluate, project, dot, total):
-    """step(u_n, lam, n) -> (u_{n+1}, z_n, res, df, err_sq) on float64 arrays or on floats.
+def _float_squared_step(u_next, u):
+    d = u_next - u
+    return d * d
+
+
+def _array_squared_step(u_next, u):
+    d = u_next - u
+    # np.add.reduce sums pairwise, as dot does not; float keeps it a Python float
+    return float(np.add.reduce(d * d))
+
+
+def _tseng_step(f, evaluate, project, dot, error):
+    """step(u_n, lam, n) -> (u_{n+1}, z_n, res, df, error) on float64 arrays or on floats.
 
     evaluate gives the checked F(x), project(u_n, w) projects w, dot takes the
-    norms and total sums the squared entries of u_{n+1} - u_n (on floats, the one square).
+    norms and error(u_{n+1}, u_n) is the stop rule's error of the step.
     """
 
     def step(u, lam, n):
@@ -246,13 +270,13 @@ def _tseng_step(f, evaluate, project, dot, total):
         dfv = fu - fz
         duz = u - z
         u_next = z + lam * dfv
-        d = u_next - u
-        err_sq = total(d * d)
-        # an overflow of err_sq alone, with u_{n+1} finite, is no failure
-        if not math.isfinite(err_sq):
+        err = error(u_next, u)
+        # a non-finite u_{n+1} makes the error non-finite; an overflow of the
+        # error alone, with u_{n+1} finite, is no failure
+        if not math.isfinite(err):
             _check_finite(u_next, n, "iterate u_{n+1}")
         # sqrt(d.dot(d)) is what np.linalg.norm computes for a real vector
-        return u_next, z, math.sqrt(dot(duz, duz)), math.sqrt(dot(dfv, dfv)), err_sq
+        return u_next, z, math.sqrt(dot(duz, duz)), math.sqrt(dot(dfv, dfv)), err
 
     return step
 
@@ -272,16 +296,23 @@ def solve(f, feasible_set, u1, cfg):
         raise ValueError("initial point must be finite")
     # projector checks only the start's shape: starts outside the set are allowed
     project = projector(feasible_set, start, start)
-    if isinstance(feasible_set, Box) and start.shape == (1,):
-        clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
-        step, first = _tseng_step(f, _evaluate_float, clamp, operator.mul, float), start.item()
-    else:
-        # np.add.reduce sums pairwise, as dot does not; float keeps err_sq a Python float
-        step = _tseng_step(f, _evaluate, project, np.ndarray.dot, lambda d: float(np.add.reduce(d)))
-        first = start
+    float_form = isinstance(feasible_set, Box) and start.shape == (1,)
     stop = cfg.stop
-    if isinstance(stop, MseToReference) and stop.reference.shape != start.shape:
-        raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
+    if isinstance(stop, MseToReference):
+        if stop.reference.shape != start.shape:
+            raise ValueError(f"reference shape {stop.reference.shape} does not match u1 {start.shape}")
+        reference = stop.reference
+
+        def error(u_next, u):
+            return _mean_squared_error(u_next, reference)
+
+    else:
+        error = _float_squared_step if float_form else _array_squared_step
+    if float_form:
+        clamp = _clamp(feasible_set.lo.item(), feasible_set.hi.item())
+        step, first = _tseng_step(f, _evaluate_float, clamp, operator.mul, error), start.item()
+    else:
+        step, first = _tseng_step(f, _evaluate, project, np.ndarray.dot, error), start
     # bound once: attribute lookups cost a measurable share of a float step
     check, xi, mu = stop.check, cfg.xi_params.value, cfg.mu
 
@@ -290,12 +321,12 @@ def solve(f, feasible_set, u1, cfg):
     status = "max_iters"
     t0 = time.perf_counter()
     for n in range(1, cfg.max_iters + 1):
-        u_next, z, res, df, err_sq = step(u, lam, n)
-        error, done = check(u_next, err_sq, res, lam)
+        u_next, z, res, df, err = step(u, lam, n)
+        done = check(err, res, lam)
         # the step-size rule: min(mu res / df, lam + xi_n), or lam + xi_n when df is 0
         grown = lam + xi(n)
         u, lam = u_next, (grown if df == 0.0 else min(mu * res / df, grown))
-        records.append((u, z, lam, error, res, df))
+        records.append((u, z, lam, err, res, df))
         if done:
             status = "converged"
             break

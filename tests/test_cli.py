@@ -156,6 +156,16 @@ def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, values, field
     assert not (tmp_path / "solve.csv").exists()
 
 
+@pytest.mark.parametrize("field, flag", [("xi_scale", "xi-scale"), ("xi_exp", "xi-exp")])
+def test_config_file_integer_past_the_float_range_exits_2(tmp_path, capsys, field, flag):
+    # JSON keeps a 401-digit integer exact; as a float it is an infinity
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({field: 10**400}))
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert re.fullmatch(f"input error: {flag} must be .* finite\n", capsys.readouterr().err)
+    assert not (tmp_path / "solve.csv").exists()
+
+
 def test_config_file_accepts_json_numbers_lists_and_null(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({"lambda1": 2, "tol": [1e-5, 1e-7], "ref": None, "plot": True}))
@@ -175,7 +185,8 @@ def test_out_of_range_values_are_named():
         parse_config(["solve", "--xi-exp", "0.9"])
     with pytest.raises(ValueError, match="max-iters must be positive"):
         parse_config(["solve", "--max-iters", "0"])
-    for flag, name in (("--tol", "tol"), ("--lambda1", "lambda1"), ("--xi-scale", "xi-scale")):
+    flags = (("--tol", "tol"), ("--lambda1", "lambda1"), ("--xi-scale", "xi-scale"), ("--xi-exp", "xi-exp"))
+    for flag, name in flags:
         for bad in ("inf", "nan"):
             with pytest.raises(ValueError, match=f"{name} must be .* finite"):
                 parse_config(["table1", flag, bad])

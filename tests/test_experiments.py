@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qvi import (
+    LeastSquares,
     SolverConfig,
     SquaredStep,
     TableSpec,
@@ -15,6 +16,8 @@ from qvi import (
     run_recovery,
     solve,
 )
+from qvi import experiments
+from qvi.diagnostics import ratio_series
 from qvi.experiments import PROBLEMS, _snap_limit, random_initial_points
 
 
@@ -270,3 +273,32 @@ def test_run_recovery_requires_mse_rule_and_trace():
 
     with pytest.raises(ValueError):
         run_recovery(inst, SolverConfig(stop=SquaredStep(1e-12)))
+
+
+def test_run_recovery_calls_f_twice_per_step_and_the_ratio_series_on_read(monkeypatch):
+    built = []
+
+    class CountingLeastSquares(LeastSquares):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.calls = 0
+            built.append(self)
+
+        def __call__(self, x):
+            self.calls += 1
+            return super().__call__(x)
+
+    monkeypatch.setattr(experiments, "LeastSquares", CountingLeastSquares)
+    inst = gen_recovery(32, 64, 4, seed=8)
+    out = run_recovery(inst)
+    (f,) = built
+    assert out.result.iterations > 1
+    assert f.calls == 2 * out.result.iterations
+    # each read runs the one batched F call of ratio_series
+    series = out.ratio_series
+    assert f.calls == 2 * out.result.iterations + 1
+    direct = ratio_series(
+        out.result.trace, LeastSquares(inst.mat, inst.observed), inst.signal, eps=1.0
+    )
+    assert series.index.tolist() == direct.index.tolist()
+    assert series.values.tolist() == direct.values.tolist()

@@ -65,6 +65,37 @@ def _timed_mapping_reads():
     return reads
 
 
+def _recovery_output_reads():
+    """Attributes the workloads read off ``output``, their name for the value
+    ``run_recovery`` returns, and off its ``result``, read directly or through
+    a local name bound to ``output.result``."""
+
+    def is_output(node):
+        return isinstance(node, ast.Name) and node.id == "output"
+
+    def is_result(node, aliases):
+        if isinstance(node, ast.Name):
+            return node.id in aliases
+        return isinstance(node, ast.Attribute) and node.attr == "result" and is_output(node.value)
+
+    output_reads, result_reads = set(), set()
+    for func in (n for n in ast.walk(_parse("workloads.py")) if isinstance(n, ast.FunctionDef)):
+        aliases = {
+            target.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Assign) and is_result(node.value, ())
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute):
+                if is_output(node.value):
+                    output_reads.add(node.attr)
+                elif is_result(node.value, aliases):
+                    result_reads.add(node.attr)
+    return output_reads, result_reads
+
+
 def _benchmark_names():
     """(module, name) pairs the benchmark reads: qvi.<name>, experiments.<name>
     and the names of ``from qvi import ...`` and ``from qvi.experiments import ...``."""
@@ -169,6 +200,19 @@ def test_every_operator_has_what_the_timed_mapping_reads():
         if not hasattr(op, attr)
     )
     assert missing == []
+
+
+def test_run_recovery_output_has_what_the_workloads_read():
+    output_reads, result_reads = _recovery_output_reads()
+    # Recovery.outcome checks status, iterations and final_point; Audit.setup audits the trace
+    assert "result" in output_reads
+    assert {"status", "iterations", "final_point", "trace"} <= result_reads
+    out = qvi.run_recovery(qvi.gen_recovery(16, 32, 2, seed=0))
+    assert sorted(a for a in output_reads if not hasattr(out, a)) == []
+    assert sorted(a for a in result_reads if not hasattr(out.result, a)) == []
+    result = out.result
+    assert isinstance(result.status, str) and isinstance(result.iterations, int)
+    assert result.final_point.shape == (32,) and isinstance(result.trace, qvi.SolveTrace)
 
 
 def test_solver_config_takes_every_keyword_the_workloads_pass():

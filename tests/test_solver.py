@@ -39,6 +39,7 @@ from qvi import (
     tseng_identity_error,
 )
 from qvi.experiments import default_recovery_config
+from qvi.solver import _mean_squared_error
 
 XI_DEFAULT = XiSequence(100.0, 1.1)
 
@@ -59,6 +60,20 @@ def test_xi_sequence_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             XiSequence(bad, 1.1)
+
+
+def test_xi_sequence_takes_integers_as_floats():
+    # a config file gives integers; an integer exponent would take an exact power
+    assert all(XiSequence(100, 100).value(n) == XiSequence(100, 100.0).value(n) for n in range(1, 2000))
+    assert isinstance(XiSequence(100, 2).exponent, float) and isinstance(XiSequence(100, 2).scale, float)
+    # an integer past the float range is an infinity, which is no finite parameter
+    for big in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="scale must be .*finite"):
+            XiSequence(big, 1.1)
+        with pytest.raises(ValueError, match="exponent must .*finite"):
+            XiSequence(100.0, big)
+    with pytest.raises(ValueError, match="exponent must .*finite"):
+        XiSequence(100.0, np.inf)
 
 
 def test_xi_prefix_sums():
@@ -223,12 +238,12 @@ def test_result_reads_its_count_and_final_point_from_the_trace():
 def test_squared_step_check_hand_cases():
     # tol 1e-4: the certificate bounds ||u_n - z_n|| by lam_n * 10 * sqrt(tol) = 0.1 lam_n
     stop = SquaredStep(1e-4)
-    assert stop.check(0.3, 5e-5, 0.05, 1.0) == (5e-5, True)
-    assert stop.check(0.3, 5e-5, 0.15, 2.0) == (5e-5, True)
+    assert stop.check(5e-5, 0.05, 1.0) is True
+    assert stop.check(5e-5, 0.15, 2.0) is True
     # a small step whose residual fails the certificate does not stop
-    assert stop.check(0.3, 5e-5, 0.2, 1.0) == (5e-5, False)
-    assert stop.check(0.3, 2e-4, 0.0, 1.0) == (2e-4, False)
-    assert stop.check(0.3, 1e-4, 0.0, 1.0) == (1e-4, False)
+    assert stop.check(5e-5, 0.2, 1.0) is False
+    assert stop.check(2e-4, 0.0, 1.0) is False
+    assert stop.check(1e-4, 0.0, 1.0) is False
     # the elementwise rule agrees with check on each entry
     err_sq, res, lam = np.array([5e-5, 5e-5, 2e-4]), np.array([0.05, 0.2, 0.0]), np.ones(3)
     assert stop.converged(err_sq, res, lam).tolist() == [True, False, False]
@@ -237,16 +252,30 @@ def test_squared_step_check_hand_cases():
 def test_mse_to_reference_check_hand_cases():
     # (0^2 + 0.5^2) / 2; the step's own numbers play no part
     u_next = np.array([1.0, 3.5])
-    assert MseToReference(np.array([1.0, 3.0]), 0.2).check(u_next, 9.0, 9.0, 1.0) == (0.125, True)
-    assert MseToReference(np.array([1.0, 3.0]), 0.1).check(u_next, 0.0, 0.0, 1.0) == (0.125, False)
+    assert _mean_squared_error(u_next, np.array([1.0, 3.0])) == 0.125
+    assert MseToReference(np.array([1.0, 3.0]), 0.2).check(0.125, 9.0, 1.0) is True
+    assert MseToReference(np.array([1.0, 3.0]), 0.1).check(0.125, 0.0, 1.0) is False
     # a float iterate against a reference of shape (1,)
-    assert MseToReference(np.array([2.0]), 1.0).check(2.5, 0.0, 0.0, 1.0) == (0.25, True)
+    assert _mean_squared_error(2.5, np.array([2.0])) == 0.25
+    assert MseToReference(np.array([2.0]), 1.0).check(0.25, 0.0, 1.0) is True
     # the same bits as np.mean, the formula experiments.mse shares
     rng = np.random.default_rng(4)
     for size in (1, 7, 300):
         u, ref = rng.standard_normal(size), rng.standard_normal(size)
-        error, _ = MseToReference(ref, 1.0).check(u, 0.0, 0.0, 1.0)
-        assert error == float(np.mean((u - ref) ** 2)) == mse(u, ref)
+        assert _mean_squared_error(u, ref) == float(np.mean((u - ref) ** 2)) == mse(u, ref)
+
+
+def test_each_stop_rule_records_its_own_error():
+    # the squared step for SquaredStep, the MSE of u_{n+1} for MseToReference
+    f, box = cubic_problem()
+    squared = solve(f, box, 0.6, scalar_config(mu=0.3, col_tol=1e-6)).trace
+    np.testing.assert_array_equal(squared.errors, np.diff(squared.u[:, 0]) ** 2)
+    reference = np.array([0.25])
+    cfg = dataclasses.replace(scalar_config(mu=0.3, col_tol=1e-6), stop=MseToReference(reference, 1e-30))
+    mse_trace = solve(f, box, 0.6, cfg).trace
+    np.testing.assert_array_equal(mse_trace.errors, (mse_trace.u[1:, 0] - 0.25) ** 2)
+    # the stop rule does not steer the iteration
+    np.testing.assert_array_equal(mse_trace.u[: squared.u.shape[0]], squared.u)
 
 
 def test_solver_config_validation():
@@ -464,6 +493,20 @@ def test_overflowing_iterate_is_named(where):
             solve(_Scripted({}), GUARD_SETS[where], _guard_start(where), cfg)
     assert str(err.value) == "non-finite iterate u_{n+1} at iteration 1"
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("where", sorted(GUARD_SETS))
+@pytest.mark.parametrize("bad, lambda1, iteration", [({}, 1e300, 1), ({5: 1.7e308}, 1.0, 3)])
+def test_overflowing_iterate_of_an_mse_stopped_solve_is_named(where, bad, lambda1, iteration):
+    # the step computes only the MSE, which an overflowed u_{n+1} makes non-finite
+    start = _guard_start(where)
+    cfg = SolverConfig(lambda1=lambda1, stop=MseToReference(np.zeros(start.shape), 1e-30), max_iters=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            solve(_Scripted(bad), GUARD_SETS[where], start, cfg)
+    assert str(err.value) == f"non-finite iterate u_{{n+1}} at iteration {iteration}"
+    assert err.value.iteration == iteration
 
 
 def test_relaxed_projection_failure_is_numeric():
